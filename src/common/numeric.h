@@ -28,11 +28,6 @@ inline bool ApproxEq(double a, double b, double eps = kEps) {
   return diff <= eps * std::max(std::fabs(a), std::fabs(b));
 }
 
-/// True iff a < b by more than tolerance (strictly less, eps-aware).
-inline bool DefinitelyLess(double a, double b, double eps = kEps) {
-  return a < b && !ApproxEq(a, b, eps);
-}
-
 /// True iff a <= b up to tolerance.
 inline bool LessOrApprox(double a, double b, double eps = kEps) {
   return a <= b || ApproxEq(a, b, eps);

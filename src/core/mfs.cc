@@ -152,16 +152,10 @@ bool PruneByDominance(const MsriSolution& dominator, MsriSolution& victim,
 }
 
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
-                       MfsStats* stats, obs::StatsSink* sink) {
-  const obs::ScopedTimer timer(sink != nullptr ? sink->mfs_time : nullptr);
-  // The sink needs per-call deltas even when the caller passes no stats.
-  MfsStats local;
-  if (stats == nullptr && sink != nullptr) stats = &local;
-  const MfsStats before = stats != nullptr ? *stats : MfsStats{};
-  const std::size_t candidates_in = set.size();
+                       MfsStats* stats) {
   if (stats) {
     ++stats->calls;
-    stats->candidates_in += candidates_in;
+    stats->candidates_in += set.size();
   }
 
   std::erase_if(set,
@@ -183,17 +177,6 @@ SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
   }
 
   if (stats) stats->candidates_out += set.size();
-  if (sink != nullptr) {
-    sink->mfs_calls->Add(1);
-    sink->mfs_candidates_in->Add(candidates_in);
-    sink->mfs_candidates_out->Add(set.size());
-    sink->mfs_comparisons->Add(stats->comparisons - before.comparisons);
-    sink->mfs_predictive_skipped->Add(stats->predictive_skipped -
-                                      before.predictive_skipped);
-    sink->mfs_pruned_full->Add(stats->pruned - before.pruned);
-    sink->mfs_pruned_partial->Add(stats->pruned_partial -
-                                  before.pruned_partial);
-  }
   return set;
 }
 

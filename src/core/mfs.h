@@ -20,7 +20,6 @@
 #include <cstddef>
 
 #include "core/solution.h"
-#include "obs/stats.h"
 
 namespace msn {
 
@@ -80,11 +79,9 @@ struct MfsStats {
 /// Prunes `set` to (a superset of) its minimal functional subset.
 /// Solutions whose valid region empties are removed; others may come back
 /// with a reduced `valid`.  Order of survivors: sorted by (cost, cap).
-/// A non-null `sink` additionally records wall time and the candidate
-/// in/out flow into the shared observability registry.
+/// A non-null `stats` accumulates this call's work counters.
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
-                       MfsStats* stats = nullptr,
-                       obs::StatsSink* sink = nullptr);
+                       MfsStats* stats = nullptr);
 
 /// Single dominance test: shrinks victim->valid by the region where
 /// `dominator` (on its own valid region) is no worse in all five

@@ -1,6 +1,7 @@
 #include "core/msri.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/numeric.h"
@@ -17,21 +18,9 @@ struct Context {
   const RootedTree& rooted;
   const Technology& tech;
   const MsriOptions& options;
+  /// The run's counters; the sink (options.stats) receives them once,
+  /// when the run ends (ExportCounters).
   MsriStats* stats;
-  /// Observability sink; null disables all recording (see MsriOptions).
-  obs::StatsSink* sink;
-  /// Request-scoped trace; null disables span recording (see
-  /// MsriOptions::trace).  Thread-confined like the sink: worker
-  /// sub-contexts carry null.
-  obs::Trace* trace = nullptr;
-  /// Intra-net fan-out executor; null keeps the traversal serial (see
-  /// MsriOptions::executor).  Worker sub-contexts carry the executor on
-  /// so deep branches keep fanning out — TaskGroup's helping Wait makes
-  /// nested fan-out on a shared pool deadlock-free.
-  Executor* executor = nullptr;
-  /// Node count of every rooted subtree; only populated (non-null) when
-  /// the executor is set.  Guards the fan-out threshold.
-  const std::vector<std::size_t>* subtree_nodes = nullptr;
   /// Upper bound on any reachable external capacitance: the whole net's
   /// capacitance (wires at maximum width, fattest pins, every insertion
   /// point buffered with the fattest repeater side).  Solutions only need
@@ -48,22 +37,28 @@ struct Context {
           std::max({stats->max_pwl_segments, s->arr.NumSegments(),
                     s->diam.NumSegments()});
     }
-    if (sink != nullptr) {
-      sink->msri_set_size->Record(static_cast<double>(set.size()));
+    if (options.stats != nullptr) {
+      options.stats->msri_set_size->Record(static_cast<double>(set.size()));
     }
   }
 
   /// The phase's timer when instrumentation is on, else null (ScopedTimer
   /// then skips the clock entirely).
   obs::Timer* PhaseTimer(obs::Timer* obs::StatsSink::* member) const {
-    return sink != nullptr ? sink->*member : nullptr;
+    return options.stats != nullptr ? options.stats->*member : nullptr;
   }
 };
+
+/// ComputeMfs into the run's counters, timed by `mfs.time`.
+SolutionSet Prune(Context& ctx, SolutionSet set) {
+  const obs::ScopedTimer timer(ctx.PhaseTimer(&obs::StatsSink::mfs_time));
+  return ComputeMfs(std::move(set), ctx.options.mfs, &ctx.stats->mfs);
+}
 
 /// Fig. 6: one solution per driver option of the terminal at leaf `v`.
 SolutionSet LeafSolutions(Context& ctx, NodeId v) {
   const obs::ScopedTimer timer(ctx.PhaseTimer(&obs::StatsSink::msri_leaf));
-  const obs::ScopedSpan span(ctx.trace, "msri.leaf");
+  const obs::ScopedSpan span(ctx.options.trace, "msri.leaf");
   const std::size_t t = ctx.tree.Node(v).terminal_index;
   const TerminalParams& params = ctx.tree.Terminal(t);
 
@@ -110,7 +105,7 @@ SolutionSet LeafSolutions(Context& ctx, NodeId v) {
 SolutionSet Augment(Context& ctx, NodeId v, const SolutionSet& below) {
   const obs::ScopedTimer timer(
       ctx.PhaseTimer(&obs::StatsSink::msri_augment));
-  const obs::ScopedSpan span(ctx.trace, "msri.augment");
+  const obs::ScopedSpan span(ctx.options.trace, "msri.augment");
   const double base_re = ctx.rooted.ParentRes(v);
   const double base_ce = ctx.rooted.ParentCap(v);
   const double len = ctx.rooted.ParentLengthUm(v);
@@ -174,7 +169,7 @@ SolutionSet Augment(Context& ctx, NodeId v, const SolutionSet& below) {
 SolutionSet JoinSets(Context& ctx, NodeId v, const SolutionSet& s1set,
                      const SolutionSet& s2set) {
   const obs::ScopedTimer timer(ctx.PhaseTimer(&obs::StatsSink::msri_join));
-  const obs::ScopedSpan span(ctx.trace, "msri.join");
+  const obs::ScopedSpan span(ctx.options.trace, "msri.join");
   std::size_t prune_at =
       std::max<std::size_t>(4096, 4 * (s1set.size() + s2set.size()));
   SolutionSet out;
@@ -263,8 +258,7 @@ SolutionSet JoinSets(Context& ctx, NodeId v, const SolutionSet& s1set,
       j->pred2 = s2;
       out.push_back(std::move(j));
       if (out.size() >= prune_at) {
-        out = ComputeMfs(std::move(out), ctx.options.mfs, &ctx.stats->mfs,
-                         ctx.sink);
+        out = Prune(ctx, std::move(out));
         // Double the threshold relative to the survivors so a poorly
         // pruning set cannot trigger quadratic re-pruning.
         prune_at = std::max(prune_at, 2 * out.size());
@@ -281,7 +275,7 @@ SolutionSet RepeaterSolutions(Context& ctx, NodeId v, SolutionSet set) {
   if (!ctx.options.insert_repeaters) return set;
   const obs::ScopedTimer timer(
       ctx.PhaseTimer(&obs::StatsSink::msri_repeater));
-  const obs::ScopedSpan span(ctx.trace, "msri.repeater");
+  const obs::ScopedSpan span(ctx.options.trace, "msri.repeater");
   SolutionSet buffered;
   for (const SolutionPtr& s : set) {
     ctx.options.cancel.Check();
@@ -324,93 +318,25 @@ SolutionSet RepeaterSolutions(Context& ctx, NodeId v, SolutionSet set) {
   return set;
 }
 
-/// Joined solutions of all children of `v`, each child set augmented
-/// through its parent edge.  `Solve` is the recursive driver.
+/// The recursive driver: the pruned solution set of the subtree at `v`.
 SolutionSet Solve(Context& ctx, NodeId v);
 
-/// Per-child unit shared by the serial fold and the parallel fan-out:
-/// solve the subtree, augment through the parent edge, prune.  Pruning
-/// the augmented set before the join keeps the pairwise product small —
-/// essential once wire sizing multiplies each set by the number of width
-/// choices.
-SolutionSet ChildSolutions(Context& ctx, NodeId c) {
-  return ComputeMfs(Augment(ctx, c, Solve(ctx, c)), ctx.options.mfs,
-                    &ctx.stats->mfs, ctx.sink);
-}
-
-/// Accumulates a worker task's thread-local stats into the run's.  Every
-/// field is a sum or max, so the merge is order-insensitive and the
-/// totals are identical to a serial run's.
-void MergeStats(MsriStats& into, const MsriStats& from) {
-  into.solutions_generated += from.solutions_generated;
-  into.join_candidates += from.join_candidates;
-  into.join_pruned_early += from.join_pruned_early;
-  into.max_set_size = std::max(into.max_set_size, from.max_set_size);
-  into.max_pwl_segments =
-      std::max(into.max_pwl_segments, from.max_pwl_segments);
-  into.mfs.calls += from.mfs.calls;
-  into.mfs.candidates_in += from.mfs.candidates_in;
-  into.mfs.candidates_out += from.mfs.candidates_out;
-  into.mfs.comparisons += from.mfs.comparisons;
-  into.mfs.predictive_skipped += from.mfs.predictive_skipped;
-  into.mfs.pruned += from.mfs.pruned;
-  into.mfs.pruned_partial += from.mfs.pruned_partial;
-}
-
-/// The fan-out is worth its overhead only when at least two siblings
-/// carry substantial subtrees (MsriOptions::parallel_min_nodes).
-bool ShouldParallelize(const Context& ctx,
-                       const std::vector<NodeId>& children) {
-  if (ctx.executor == nullptr || children.size() < 2) return false;
-  std::size_t heavy = 0;
-  for (const NodeId c : children) {
-    if ((*ctx.subtree_nodes)[c] >= ctx.options.parallel_min_nodes) ++heavy;
-  }
-  return heavy >= 2;
-}
-
+/// Joined solutions of all children of `v`, each child set augmented
+/// through its parent edge and folded into the accumulator in child
+/// order.
 SolutionSet CombineChildren(Context& ctx, NodeId v) {
-  const std::vector<NodeId>& children = ctx.rooted.Children(v);
-  if (ShouldParallelize(ctx, children)) {
-    // Independent sibling subtrees (the JoinSets inputs of Fig. 7) as
-    // separate tasks.  Results land in index-addressed slots and worker
-    // stats in task-local structs, so output is deterministic at any
-    // thread count; obs sinks are thread-confined and therefore off on
-    // workers (MsriOptions::executor documents the reduced detail).
-    std::vector<SolutionSet> sets(children.size());
-    std::vector<MsriStats> local(children.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(children.size());
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      tasks.push_back([&ctx, &sets, &local, &children, i] {
-        Context sub{ctx.tree,    ctx.rooted,   ctx.tech,
-                    ctx.options, &local[i],    /*sink=*/nullptr,
-                    /*trace=*/nullptr, ctx.executor, ctx.subtree_nodes,
-                    ctx.x_max};
-        sets[i] = ChildSolutions(sub, children[i]);
-      });
-    }
-    ctx.executor->RunAll(std::move(tasks));
-    for (const MsriStats& s : local) MergeStats(*ctx.stats, s);
-    // The sequential fold, identical to the serial path below.
-    SolutionSet acc = std::move(sets[0]);
-    for (std::size_t i = 1; i < sets.size(); ++i) {
-      acc = ComputeMfs(JoinSets(ctx, v, acc, sets[i]), ctx.options.mfs,
-                       &ctx.stats->mfs, ctx.sink);
-    }
-    return acc;
-  }
-
   SolutionSet acc;
   bool first = true;
-  for (const NodeId c : children) {
-    SolutionSet augmented = ChildSolutions(ctx, c);
+  for (const NodeId c : ctx.rooted.Children(v)) {
+    // Pruning the augmented set before the join keeps the pairwise
+    // product small — essential once wire sizing multiplies each set by
+    // the number of width choices.
+    SolutionSet augmented = Prune(ctx, Augment(ctx, c, Solve(ctx, c)));
     if (first) {
       acc = std::move(augmented);
       first = false;
     } else {
-      acc = ComputeMfs(JoinSets(ctx, v, acc, augmented), ctx.options.mfs,
-                       &ctx.stats->mfs, ctx.sink);
+      acc = Prune(ctx, JoinSets(ctx, v, acc, augmented));
     }
   }
   return acc;
@@ -430,8 +356,7 @@ SolutionSet Solve(Context& ctx, NodeId v) {
       set = RepeaterSolutions(ctx, v, std::move(set));
     }
   }
-  set = ComputeMfs(std::move(set), ctx.options.mfs, &ctx.stats->mfs,
-                   ctx.sink);
+  set = Prune(ctx, std::move(set));
   ctx.Record(set);
   if (ctx.options.set_observer) ctx.options.set_observer(v, set);
   return set;
@@ -449,7 +374,7 @@ struct RootCandidate {
 std::vector<RootCandidate> RootSolutions(Context& ctx, NodeId root,
                                          const SolutionSet& below) {
   const obs::ScopedTimer timer(ctx.PhaseTimer(&obs::StatsSink::msri_root));
-  const obs::ScopedSpan span(ctx.trace, "msri.root");
+  const obs::ScopedSpan span(ctx.options.trace, "msri.root");
   const RcNode& node = ctx.tree.Node(root);
   MSN_CHECK_MSG(node.kind == NodeKind::kTerminal,
                 "MSRI must be rooted at a terminal (paper Section IV)");
@@ -547,9 +472,33 @@ TradeoffPoint Materialize(Context& ctx, const RootCandidate& cand) {
   return p;
 }
 
-}  // namespace
+/// Adds one run's DP counters to the sink's registry.  RunMsri calls it
+/// exactly once per run, whether the run completes or is cancelled.
+void ExportCounters(obs::StatsSink* sink, const MsriStats& stats) {
+  if (sink == nullptr) return;
+  const std::pair<const char*, std::size_t> counters[] = {
+      {"msri.solutions_generated", stats.solutions_generated},
+      {"msri.join_candidates", stats.join_candidates},
+      {"msri.join_pruned_early", stats.join_pruned_early},
+      {"mfs.calls", stats.mfs.calls},
+      {"mfs.candidates_in", stats.mfs.candidates_in},
+      {"mfs.candidates_out", stats.mfs.candidates_out},
+      {"mfs.comparisons", stats.mfs.comparisons},
+      {"mfs.predictive_skipped", stats.mfs.predictive_skipped},
+      {"mfs.pruned_full", stats.mfs.pruned},
+      {"mfs.pruned_partial", stats.mfs.pruned_partial},
+  };
+  for (const auto& [name, value] : counters) {
+    sink->Registry().GetCounter(name).Add(value);
+  }
+}
 
-const TradeoffPoint* MsriResult::MinCostFeasible(double spec_ps) const {
+// The frontier queries of MsriResult and MsriSummary.  `pareto` is sorted
+// by increasing cost (ARD strictly decreasing).
+
+template <typename Point>
+const Point* MinCostFeasibleIn(const std::vector<Point>& pareto,
+                               double spec_ps) {
   // A NaN spec is "no spec" — reject it explicitly instead of relying on
   // NaN comparisons all being false (which happens to give the same
   // answer today but is fragile under refactoring; the batch report
@@ -559,37 +508,42 @@ const TradeoffPoint* MsriResult::MinCostFeasible(double spec_ps) const {
   // spuriously hold.  Negative finite specs fall out naturally: ARD is
   // non-negative, so no point is feasible.
   if (std::isnan(spec_ps) || spec_ps == -kInf) return nullptr;
-  for (const TradeoffPoint& p : pareto_) {
+  for (const Point& p : pareto) {
     if (LessOrApprox(p.ard_ps, spec_ps)) return &p;
   }
   return nullptr;
 }
 
-const TradeoffPoint* MsriResult::MinArd() const {
-  return pareto_.empty() ? nullptr : &pareto_.back();
-}
-
-const TradeoffPoint* MsriResult::MinCost() const {
-  return pareto_.empty() ? nullptr : &pareto_.front();
-}
-
-const TradeoffSummary* MsriSummary::MinCostFeasible(double spec_ps) const {
-  // Mirrors MsriResult::MinCostFeasible — the explicit NaN/-inf handling
-  // included — so a cached summary answers spec queries identically to
-  // the result it condensed.
-  if (std::isnan(spec_ps) || spec_ps == -kInf) return nullptr;
-  for (const TradeoffSummary& p : pareto) {
-    if (LessOrApprox(p.ard_ps, spec_ps)) return &p;
-  }
-  return nullptr;
-}
-
-const TradeoffSummary* MsriSummary::MinArd() const {
+template <typename Point>
+const Point* MinArdIn(const std::vector<Point>& pareto) {
   return pareto.empty() ? nullptr : &pareto.back();
 }
 
-const TradeoffSummary* MsriSummary::MinCost() const {
+template <typename Point>
+const Point* MinCostIn(const std::vector<Point>& pareto) {
   return pareto.empty() ? nullptr : &pareto.front();
+}
+
+}  // namespace
+
+const TradeoffPoint* MsriResult::MinCostFeasible(double spec_ps) const {
+  return MinCostFeasibleIn(pareto_, spec_ps);
+}
+
+const TradeoffPoint* MsriResult::MinArd() const { return MinArdIn(pareto_); }
+
+const TradeoffPoint* MsriResult::MinCost() const {
+  return MinCostIn(pareto_);
+}
+
+const TradeoffSummary* MsriSummary::MinCostFeasible(double spec_ps) const {
+  return MinCostFeasibleIn(pareto, spec_ps);
+}
+
+const TradeoffSummary* MsriSummary::MinArd() const { return MinArdIn(pareto); }
+
+const TradeoffSummary* MsriSummary::MinCost() const {
+  return MinCostIn(pareto);
 }
 
 std::size_t MsriSummary::ApproxBytes() const {
@@ -663,34 +617,16 @@ MsriResult RunMsri(const RcTree& tree, const Technology& tech,
   }
   x_max *= 1.0 + 1e-9;  // Guard the boundary against rounding.
 
-  // The set_observer callback has no thread-safety contract, so its
-  // presence forces the serial traversal.
-  Executor* executor =
-      options.set_observer ? nullptr : options.executor;
-  std::vector<std::size_t> subtree_nodes;
-  if (executor != nullptr) {
-    // Bottom-up subtree node counts gate the fan-out threshold.
-    subtree_nodes.assign(tree.NumNodes(), 1);
-    const std::vector<NodeId>& pre = rooted.Preorder();
-    for (auto it = pre.rbegin(); it != pre.rend(); ++it) {
-      if (*it != root) subtree_nodes[rooted.Parent(*it)] += subtree_nodes[*it];
-    }
-  }
-
   MsriResult result;
-  Context ctx{tree,     rooted,   tech,
-              options,  &result.stats_, options.stats,
-              options.trace,
-              executor, executor != nullptr ? &subtree_nodes : nullptr,
-              x_max};
-
-  {
+  Context ctx{tree, rooted, tech, options, &result.stats_, x_max};
+  obs::StatsSink* const sink = options.stats;
+  try {
     // While the DP runs, the PWL primitives report breakpoint counts to
     // this run's sink (no-op scope when instrumentation is off).
-    const obs::PwlStatsScope pwl_scope(ctx.sink);
+    const obs::PwlStatsScope pwl_scope(sink);
     const obs::ScopedTimer total(
         ctx.PhaseTimer(&obs::StatsSink::msri_total));
-    const obs::ScopedSpan total_span(ctx.trace, "msri.total");
+    const obs::ScopedSpan total_span(options.trace, "msri.total");
     const SolutionSet below = CombineChildren(ctx, root);
     const std::vector<RootCandidate> pareto = ParetoByCostDelay(
         RootSolutions(ctx, root, below),
@@ -700,12 +636,15 @@ MsriResult RunMsri(const RcTree& tree, const Technology& tech,
     for (const RootCandidate& c : pareto) {
       result.pareto_.push_back(Materialize(ctx, c));
     }
+  } catch (const CancelledError&) {
+    // The work done up to the abandon point is real: its counters join
+    // the phase timers already recorded on unwind.
+    ExportCounters(sink, result.stats_);
+    throw;
   }
-  if (ctx.sink != nullptr) {
-    ctx.sink->msri_solutions->Add(result.stats_.solutions_generated);
-    ctx.sink->msri_join_candidates->Add(result.stats_.join_candidates);
-    ctx.sink->msri_join_pruned_early->Add(result.stats_.join_pruned_early);
-    obs::RunStats& reg = ctx.sink->Registry();
+  ExportCounters(sink, result.stats_);
+  if (sink != nullptr) {
+    obs::RunStats& reg = sink->Registry();
     reg.SetValue("msri.pareto_points",
                  static_cast<double>(result.pareto_.size()));
     reg.SetValue("msri.max_set_size",

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/executor.h"
 #include "core/mfs.h"
 #include "core/solution.h"
 #include "obs/stats.h"
@@ -82,35 +81,19 @@ struct MsriOptions {
   MfsOptions mfs;
   /// Observability sink (see src/obs/stats.h and docs/OBSERVABILITY.md):
   /// when non-null, the DP records per-phase wall time and invocation
-  /// counts (Figs. 6-10), MFS candidate flow and prune events, per-node
-  /// set sizes, and PWL breakpoint growth into the sink's registry.
-  /// Null (the default) disables instrumentation at zero cost.
+  /// counts (Figs. 6-10), MFS time, per-node set sizes, and PWL
+  /// breakpoint growth into the sink's registry, and adds the run's
+  /// MsriStats counters to it once, when the run ends.  Null (the
+  /// default) disables instrumentation at zero cost.
   obs::StatsSink* stats = nullptr;
   /// Request-scoped tracing (src/obs/trace.h): when non-null, the DP
   /// opens one span per phase invocation next to the phase timers, so a
   /// per-request trace attributes DP time to LeafSolutions / Augment /
   /// JoinSets / RepeaterSolutions / RootSolutions.  Thread-confined like
-  /// `stats`: parallel worker tasks trace nothing.  Null (the default)
-  /// costs one pointer compare per phase.  Non-semantic: excluded from
-  /// service::Canonicalize like `cancel`.
+  /// `stats`: the DP runs entirely on the calling thread.  Null (the
+  /// default) costs one pointer compare per phase.  Non-semantic:
+  /// excluded from service::Canonicalize like `cancel`.
   obs::Trace* trace = nullptr;
-  /// Intra-net parallelism (docs/RUNTIME.md): when non-null, independent
-  /// sibling subtrees at branch nodes are solved as separate executor
-  /// tasks before the sequential JoinSets fold — the fan-out the paper's
-  /// Section IV structure makes embarrassingly parallel.  Deterministic:
-  /// per-child sets are computed exactly as in a serial run and folded in
-  /// child order, and worker tasks accumulate into task-local MsriStats
-  /// merged after the barrier, so results and DP counters are identical
-  /// at any thread count.  `stats` detail recorded on worker threads
-  /// (phase timers, PWL histograms) is skipped — obs instruments are
-  /// thread-confined by design.  Ignored when `set_observer` is set (the
-  /// callback is not required to be thread-safe).  Null (the default)
-  /// keeps the DP fully serial.
-  Executor* executor = nullptr;
-  /// Fan-out guard: a branch parallelizes only when at least two of its
-  /// child subtrees span this many nodes, so small nets stay serial and
-  /// task overhead cannot dominate.
-  std::size_t parallel_min_nodes = 64;
   /// Debug/teaching hook: invoked with every node's finalized solution
   /// set as the bottom-up pass completes it (after MFS pruning).
   std::function<void(NodeId, const SolutionSet&)> set_observer;
@@ -118,9 +101,10 @@ struct MsriOptions {
   /// token at node granularity and inside the expensive per-solution
   /// loops (JoinSets' merge above all), so an expired deadline or a
   /// disconnected client abandons the run in bounded time.  On firing,
-  /// RunMsri throws CancelledError; any partial work is discarded but
-  /// stats recorded so far remain valid (monotonic counters, no
-  /// double counting).  The default token never fires.  Non-semantic:
+  /// RunMsri throws CancelledError; any partial work is discarded, but
+  /// the DP counters accumulated so far are added to `stats` exactly
+  /// once before the rethrow, next to the phase timers recorded on
+  /// unwind.  The default token never fires.  Non-semantic:
   /// excluded from service::Canonicalize, so cancellable and
   /// non-cancellable runs share a cache fingerprint.
   CancellationToken cancel;
@@ -167,8 +151,9 @@ struct TradeoffSummary {
 /// frontier without the per-point repeater/driver/width assignments.
 /// This is what the optimization service caches and serves — small,
 /// copyable, and sufficient to answer every frontier query
-/// (MinCostFeasible / MinArd / MinCost mirror MsriResult exactly, so a
-/// cached answer is indistinguishable from a fresh one).
+/// (MinCostFeasible / MinArd / MinCost share MsriResult's
+/// implementation, so a cached answer is indistinguishable from a fresh
+/// one).
 struct MsriSummary {
   /// Sorted by increasing cost (ARD strictly decreasing), like
   /// MsriResult::Pareto().

@@ -231,26 +231,6 @@ IntervalSet Pwl::RegionLessEqual(const Pwl& g, double eps) const {
   return IntervalSet(std::move(where));
 }
 
-void Pwl::Simplify(double eps) {
-  if (store_.Size() < 2) return;
-  const std::size_t n = store_.Size();
-  const double* x = store_.XLo();
-  const double* b = store_.Intercept();
-  const double* m = store_.Slope();
-  PwlStore out;
-  out.Reserve(n);
-  out.Append(x[0], b[0], m[0]);
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t last = out.Size() - 1;
-    if (ApproxEq(out.Intercept()[last], b[i], eps) &&
-        ApproxEq(out.Slope()[last], m[i], eps)) {
-      continue;
-    }
-    out.Append(x[i], b[i], m[i]);
-  }
-  store_ = std::move(out);
-}
-
 bool Pwl::IsConvexNonDecreasing(double eps) const {
   const std::size_t n = store_.Size();
   const double* x = store_.XLo();

@@ -102,9 +102,6 @@ class Pwl {
   /// g (with f not bottom) yields the empty set.
   IntervalSet RegionLessEqual(const Pwl& g, double eps = 0.0) const;
 
-  /// Merges adjacent segments whose line parameters agree within eps.
-  void Simplify(double eps = kEps);
-
   /// True iff slopes are non-decreasing and the function is continuous —
   /// the invariant the repeater-insertion DP maintains (used in tests).
   bool IsConvexNonDecreasing(double eps = kEps) const;

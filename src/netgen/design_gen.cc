@@ -104,11 +104,11 @@ sta::Design GenerateDesign(const DesignConfig& config,
     const std::size_t comp_sinks = want_output ? sinks - 1 : sinks;
     std::size_t comp = sta::kNoIndex;
     if (comp_sinks > 0) {
-      const std::string cname = "u" + std::to_string(n);
+      const std::string cname = std::string("u").append(std::to_string(n));
       comp = design.AddComponent(cname);
       design.AddPin(comp, "o", sta::PinDir::kOut);
       for (std::size_t i = 0; i < comp_sinks; ++i) {
-        const std::string pname = "i" + std::to_string(i);
+        const std::string pname = std::string("i").append(std::to_string(i));
         design.AddPin(comp, pname, sta::PinDir::kIn);
         design.AddArc(comp, pname, "o",
                       rng.UniformReal(config.arc_delay_min_ps,
@@ -139,7 +139,7 @@ sta::Design GenerateDesign(const DesignConfig& config,
       p.is_sink = t >= sources;
     }
     const std::size_t net = design.AddNet(
-        "n" + std::to_string(n), NetFileName(n), tokens);
+        std::string("n").append(std::to_string(n)), NetFileName(n), tokens);
     design.nets[net].tree = std::move(tree);
   }
 

@@ -62,7 +62,6 @@ class LatencyHistogram {
   Snapshot Snap(Clock::time_point now) const;
 
   std::uint64_t Count() const { return cumulative_.Count(); }
-  const Histogram& Cumulative() const { return cumulative_; }
 
   /// Quantile upper bound from a 64-bucket count array: the bound of the
   /// first bucket whose cumulative count reaches rank ceil(q * total).

@@ -202,9 +202,10 @@ inline constexpr std::size_t kNumPwlPrimitives = 4;
 const char* PwlPrimitiveName(PwlPrimitive p);
 
 /// Write-side handle the pipeline records into: pre-registers the standard
-/// instrument schema in a RunStats so hot-path recording never performs a
-/// registry lookup.  Producers take a nullable StatsSink* ("disabled" =
-/// null) — see MsriOptions::stats and ComputeArd's sink parameter.
+/// instrument schema in a RunStats (every document carries the same keys)
+/// so hot-path recording never performs a registry lookup.  Producers
+/// take a nullable StatsSink* ("disabled" = null) — see
+/// MsriOptions::stats and ComputeArd's sink parameter.
 class StatsSink {
  public:
   explicit StatsSink(RunStats* registry);
@@ -220,21 +221,12 @@ class StatsSink {
   Timer* msri_repeater;
   Timer* msri_root;
   Timer* msri_total;
-  Counter* msri_solutions;     ///< Candidate solutions generated.
-  Counter* msri_join_candidates;    ///< (s1, s2) pairs JoinSets visited.
-  Counter* msri_join_pruned_early;  ///< Pairs dropped before PWL build.
   Histogram* msri_set_size;    ///< Per-node set sizes after MFS pruning.
 
-  // MFS pruning (Def. 4.3): candidate flow and prune events.
+  // MFS pruning (Def. 4.3): wall time of every ComputeMfs call.  The DP
+  // work counters (msri.* and mfs.*) are not handles here: RunMsri owns
+  // them in MsriStats and adds them to the registry once per run.
   Timer* mfs_time;
-  Counter* mfs_calls;
-  Counter* mfs_candidates_in;
-  Counter* mfs_candidates_out;
-  Counter* mfs_comparisons;
-  Counter* mfs_predictive_skipped;  ///< Tests decided by the (cost, cap)
-                                    ///< sort alone; always <= comparisons.
-  Counter* mfs_pruned_full;     ///< Solutions fully invalidated.
-  Counter* mfs_pruned_partial;  ///< Partial-domain prunes (valid shrank).
 
   // ARD (Section III): the three passes of the linear-time algorithm.
   Timer* ard_total;

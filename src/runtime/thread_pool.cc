@@ -1,6 +1,7 @@
 #include "runtime/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace msn::runtime {
 
@@ -42,8 +43,8 @@ void ThreadPool::WorkerLoop() {
     try {
       task();
     } catch (...) {
-      // Submit-level thunks have nowhere to report; TaskGroup/Async
-      // capture exceptions before they reach here.
+      // Submit-level thunks have nowhere to report; TaskGroup captures
+      // exceptions before they reach here.
     }
   }
 }

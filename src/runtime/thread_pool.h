@@ -11,11 +11,10 @@
 //   2. Deadlock-free nesting.  TaskGroup::Wait *helps*: the waiting
 //      thread drains its own group's pending tasks instead of blocking,
 //      so a pool worker may itself fan out a nested group onto the same
-//      pool (batch-level and intra-net parallelism share one pool) and
-//      always makes progress even when every worker is busy.
+//      pool and always makes progress even when every worker is busy.
 //   3. Exception capture.  The first exception a group task throws is
-//      rethrown from Wait(); Async() delivers exceptions through its
-//      std::future.  A throwing task never takes down a worker thread.
+//      rethrown from Wait().  A throwing task never takes down a worker
+//      thread.
 #ifndef MSN_RUNTIME_THREAD_POOL_H
 #define MSN_RUNTIME_THREAD_POOL_H
 
@@ -23,16 +22,12 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
-
-#include "common/executor.h"
 
 namespace msn::runtime {
 
@@ -51,20 +46,9 @@ class ThreadPool {
   std::size_t NumThreads() const { return threads_.size(); }
 
   /// Enqueues a thunk for some worker.  Exceptions escaping `fn` are
-  /// swallowed (workers must survive); use Async or TaskGroup for work
-  /// whose failure matters.
+  /// swallowed (workers must survive); use TaskGroup for work whose
+  /// failure matters.
   void Submit(std::function<void()> fn);
-
-  /// Packaged-task convenience: runs `fn` on the pool, exceptions and
-  /// result delivered through the returned future.
-  template <typename Fn>
-  auto Async(Fn fn) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    std::future<R> future = task->get_future();
-    Submit([task] { (*task)(); });
-    return future;
-  }
 
  private:
   void WorkerLoop();
@@ -124,22 +108,6 @@ class TaskGroup {
 
   ThreadPool* pool_;
   std::shared_ptr<State> state_ = std::make_shared<State>();
-};
-
-/// Adapter running the core DP's intra-net fan-outs (see
-/// MsriOptions::executor) on a pool via one TaskGroup per RunAll.
-class PoolExecutor final : public Executor {
- public:
-  explicit PoolExecutor(ThreadPool* pool) : pool_(pool) {}
-
-  void RunAll(std::vector<std::function<void()>> tasks) override {
-    TaskGroup group(pool_);
-    for (std::function<void()>& task : tasks) group.Run(std::move(task));
-    group.Wait();
-  }
-
- private:
-  ThreadPool* pool_;
 };
 
 }  // namespace msn::runtime

@@ -64,9 +64,6 @@ class TimingGraph {
   /// SetNetDelayPs change; results are read by the accessors below.
   void Propagate();
 
-  double ArrivalPs(std::size_t node) const { return arrival_ps_[node]; }
-  double RequiredPs(std::size_t node) const { return required_ps_[node]; }
-
   /// The derived ARD spec for `net`: min over (source, sink) terminal
   /// pairs of required(sink) - arrival(source).  +inf when the net is
   /// unconstrained (no finite required downstream or arrival upstream).

@@ -156,15 +156,6 @@ TEST(Pwl, RegionLessEqualEps) {
   EXPECT_TRUE(f.RegionLessEqual(g, 0.0).Empty());
 }
 
-TEST(Pwl, SimplifyMergesEqualSegments) {
-  // Construct a 2-segment function whose pieces are actually collinear by
-  // max of identical lines with an artificial breakpoint via shift.
-  Pwl f = Pwl::Max(Pwl::Line(0.0, 1.0), Pwl::Line(-1.0, 1.0));
-  EXPECT_EQ(f.NumSegments(), 1u);
-  f.Simplify();
-  EXPECT_EQ(f.NumSegments(), 1u);
-}
-
 TEST(Pwl, EpsilonCloseBreakpointsDoNotInflateSegments) {
   // Regression for segment-count stability: breakpoints that drift apart
   // by rounding noise used to survive the exact-equality dedup as

@@ -1,9 +1,9 @@
 // The msn::runtime batch engine (docs/RUNTIME.md): thread-pool and
 // task-group semantics, batch determinism across thread counts (the
-// byte-identical report contract), per-net error containment, intra-net
-// parallel DP equivalence, and the degenerate-spec handling of
-// MsriResult::MinCostFeasible.  This suite is the TSan gate for the
-// thread pool (CI runs it under -DMSN_SANITIZE=thread).
+// byte-identical report contract), per-net error containment, and the
+// degenerate-spec handling of MsriResult::MinCostFeasible.  This suite
+// is the TSan gate for the thread pool (CI runs it under
+// -DMSN_SANITIZE=thread).
 #include "runtime/batch.h"
 #include "runtime/thread_pool.h"
 
@@ -23,7 +23,6 @@
 #include <unistd.h>
 
 #include "common/check.h"
-#include "common/executor.h"
 #include "common/numeric.h"
 #include "core/msri.h"
 #include "io/netfile.h"
@@ -38,7 +37,6 @@ using runtime::BatchJob;
 using runtime::BatchOptions;
 using runtime::BatchResult;
 using runtime::OptimizeBatch;
-using runtime::PoolExecutor;
 using runtime::TaskGroup;
 using runtime::ThreadPool;
 using testing::SmallTech;
@@ -72,18 +70,9 @@ void WriteNetFile(const fs::path& path, const RcTree& tree) {
 // ---------------------------------------------------------------------
 // ThreadPool / TaskGroup.
 
-TEST(ThreadPool, AsyncDeliversResultsAndExceptions) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.NumThreads(), 4u);
-  auto ok = pool.Async([] { return 6 * 7; });
-  auto bad = pool.Async(
-      []() -> int { throw std::runtime_error("boom"); });
-  EXPECT_EQ(ok.get(), 42);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
 TEST(TaskGroup, RunsEveryTaskWithMoreTasksThanThreads) {
   ThreadPool pool(2);
+  EXPECT_EQ(pool.NumThreads(), 2u);
   std::atomic<int> sum{0};
   TaskGroup group(&pool);
   for (int i = 1; i <= 100; ++i) {
@@ -152,28 +141,6 @@ TEST(TaskGroup, DeadlineBoundsAdmissionNotCompletion) {
   group.Wait();
   EXPECT_EQ(ran.load(), 8);
   EXPECT_EQ(expired.load(), 8);
-}
-
-TEST(Executors, PoolMatchesSerialSemantics) {
-  std::vector<int> serial_out(16, 0);
-  std::vector<int> pool_out(16, 0);
-  auto make_tasks = [](std::vector<int>& out) {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      tasks.push_back([&out, i] { out[i] = static_cast<int>(i * i); });
-    }
-    return tasks;
-  };
-  SerialExecutor serial;
-  serial.RunAll(make_tasks(serial_out));
-  ThreadPool pool(3);
-  PoolExecutor pool_exec(&pool);
-  pool_exec.RunAll(make_tasks(pool_out));
-  EXPECT_EQ(serial_out, pool_out);
-
-  EXPECT_THROW(
-      pool_exec.RunAll({[] { throw std::runtime_error("boom"); }}),
-      std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
@@ -402,52 +369,6 @@ TEST(Batch, CancelledNetsAreContainedErrorEntries) {
 }
 
 // ---------------------------------------------------------------------
-// Intra-net parallelism.
-
-TEST(IntraNet, ParallelSubtreeSolvesMatchSerialExactly) {
-  const Technology tech = SmallTech();
-  const RcTree tree = ExperimentNet(3, /*terminals=*/12);
-
-  const MsriResult serial = RunMsri(tree, tech, MsriOptions{});
-
-  ThreadPool pool(4);
-  PoolExecutor exec(&pool);
-  MsriOptions par;
-  par.executor = &exec;
-  par.parallel_min_nodes = 1;  // Force fan-out at every branch.
-  const MsriResult parallel = RunMsri(tree, tech, par);
-
-  ASSERT_EQ(serial.Pareto().size(), parallel.Pareto().size());
-  for (std::size_t i = 0; i < serial.Pareto().size(); ++i) {
-    EXPECT_EQ(serial.Pareto()[i].cost, parallel.Pareto()[i].cost);
-    EXPECT_EQ(serial.Pareto()[i].ard_ps, parallel.Pareto()[i].ard_ps);
-    EXPECT_EQ(serial.Pareto()[i].num_repeaters,
-              parallel.Pareto()[i].num_repeaters);
-  }
-  // Task-local stats merge back to the serial totals (sums and maxes).
-  EXPECT_EQ(serial.Stats().solutions_generated,
-            parallel.Stats().solutions_generated);
-  EXPECT_EQ(serial.Stats().max_set_size, parallel.Stats().max_set_size);
-  EXPECT_EQ(serial.Stats().mfs.candidates_in,
-            parallel.Stats().mfs.candidates_in);
-  EXPECT_EQ(serial.Stats().mfs.candidates_out,
-            parallel.Stats().mfs.candidates_out);
-}
-
-TEST(IntraNet, BatchWithIntraNetParallelismStaysDeterministic) {
-  const Technology tech = SmallTech();
-  BatchOptions plain;
-  plain.jobs = 1;
-  BatchOptions intra;
-  intra.jobs = 4;
-  intra.intra_net_parallelism = true;
-  intra.parallel_min_nodes = 1;
-  const BatchResult r1 = OptimizeBatch(MakeJobs(4), tech, plain);
-  const BatchResult r2 = OptimizeBatch(MakeJobs(4), tech, intra);
-  EXPECT_EQ(Report(r1, 900.0), Report(r2, 900.0));
-}
-
-// ---------------------------------------------------------------------
 // Degenerate ARD specs (explicit NaN/negative handling).
 
 TEST(MinCostFeasible, DegenerateSpecsAreExplicit) {
@@ -464,6 +385,17 @@ TEST(MinCostFeasible, DegenerateSpecsAreExplicit) {
   EXPECT_EQ(result.MinCostFeasible(kInf), result.MinCost());
   // And a generous finite spec behaves identically.
   EXPECT_EQ(result.MinCostFeasible(1e12), result.MinCost());
+
+  // A summary answers every spec with the same index as its result.
+  const MsriSummary summary = Summarize(result);
+  auto index = [](const auto* p, const auto& pareto) -> std::ptrdiff_t {
+    return p == nullptr ? -1 : p - pareto.data();
+  };
+  for (const double spec : {nan, -kInf, -100.0, kInf, 1e12}) {
+    EXPECT_EQ(index(summary.MinCostFeasible(spec), summary.pareto),
+              index(result.MinCostFeasible(spec), result.Pareto()))
+        << "spec " << spec;
+  }
 }
 
 }  // namespace

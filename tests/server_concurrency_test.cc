@@ -266,8 +266,8 @@ TEST(Cancellation, MidRunCancelLeavesValidPartialStats) {
   opt.stats = &sink;
   opt.cancel = source.Token();
   // Deterministic mid-run trigger: the observer fires as the second
-  // node's set completes (set_observer also forces a serial DP), so the
-  // next Solve() poll cancels with real partial work behind it.
+  // node's set completes, so the next Solve() poll cancels with real
+  // partial work behind it.
   std::size_t observed = 0;
   opt.set_observer = [&observed, &source](NodeId, const SolutionSet&) {
     if (++observed == 2) source.Cancel();
@@ -276,12 +276,16 @@ TEST(Cancellation, MidRunCancelLeavesValidPartialStats) {
   EXPECT_EQ(observed, 2u);  // nothing completed after the cancel
 
   // The partially recorded registry is schema-valid and consistent: the
-  // phase timers that ran were recorded on unwind, exactly once.
+  // phase timers that ran were recorded on unwind, exactly once, and the
+  // DP counters of the work done so far were exported with them.
   const JsonValue doc = JsonValue::Parse(run.JsonString());
   const JsonValue& timers = *doc.Find("timers");
   EXPECT_DOUBLE_EQ(timers.Find("msri.total")->Find("calls")->AsNumber(),
                    1.0);
   EXPECT_GE(timers.Find("msri.leaf")->Find("calls")->AsNumber(), 1.0);
+  const JsonValue& counters = *doc.Find("counters");
+  EXPECT_GT(counters.Find("msri.solutions_generated")->AsNumber(), 0.0);
+  EXPECT_GT(counters.Find("mfs.comparisons")->AsNumber(), 0.0);
 }
 
 TEST(Cancellation, CancelAfterCompletionHasNoEffect) {
@@ -754,7 +758,8 @@ TEST(ServerConcurrency, LiveStatsSnapshotsStayConsistentMidStorm) {
     storm.emplace_back([&server, &nets, c] {
       for (int i = 0; i < kPerClient; ++i) {
         const std::string id =
-            "c" + std::to_string(c) + "-" + std::to_string(i);
+            std::string("c").append(std::to_string(c)) + "-" +
+            std::to_string(i);
         const std::string resp = server.HandleLine(OptimizeLine(
             id, nets[static_cast<std::size_t>(i) % nets.size()]));
         EXPECT_TRUE(JsonValue::Parse(resp).Find("ok")->AsBool()) << resp;

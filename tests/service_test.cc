@@ -192,7 +192,6 @@ TEST(Canonical, IgnoresNonSemanticOptions) {
   obs::StatsSink sink(&run);
   MsriOptions hooked;
   hooked.stats = &sink;
-  hooked.parallel_min_nodes = 7;
   // A cancellation token is an execution concern, not a problem input:
   // cancellable and plain runs must share a cache fingerprint.
   CancellationSource source;
@@ -556,7 +555,7 @@ TEST(Server, ServeMixedTrafficConcurrently) {
   for (int d = 0; d < kDup; ++d) {
     for (int n = 0; n < kNets; ++n) {
       in_os << OptimizeLine(
-                   "n" + std::to_string(n),
+                   std::string("n").append(std::to_string(n)),
                    NetText(ExperimentNet(
                        static_cast<std::uint64_t>(20 + n))))
             << '\n';

@@ -1,9 +1,10 @@
 # Tier-1 schema guard for the --stats JSON contract (msn-run-stats-v1):
 # generate a 16-terminal net, optimize it with --stats=stats.json, and
-# validate the file's structure.  Structural checks use CMake's string(JSON)
-# parser; when python3 is on PATH, tools/check_stats_schema.py runs too for
-# the stricter field-by-field validation.  Invoked by CTest with
-# -DCLI=<path> -DCHECKER=<path to check_stats_schema.py>.
+# validate the file's structure and its exact DP work counters.
+# Structural checks use CMake's string(JSON) parser; when python3 is on
+# PATH, tools/check_stats_schema.py runs too for the stricter
+# field-by-field validation.  Invoked by CTest with -DCLI=<path>
+# -DCHECKER=<path to check_stats_schema.py>.
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "pass -DCLI=<path to msn_cli>")
 endif()
@@ -77,6 +78,34 @@ endif()
 foreach(key net.terminals result.base_ard_ps result.picked_ard_ps)
   string(JSON v GET "${doc}" values "${key}")
 endforeach()
+
+# Exact DP work figures of this net.  They are deterministic and the same
+# in every build type, so a drift means the algorithm changed (or the
+# counters were exported more or less than once).
+foreach(entry
+    counters:mfs.calls=164
+    counters:mfs.candidates_in=17505
+    counters:mfs.candidates_out=11918
+    counters:mfs.comparisons=3746818
+    counters:mfs.predictive_skipped=2747445
+    counters:mfs.pruned_full=5587
+    counters:mfs.pruned_partial=52320
+    counters:msri.join_candidates=5629
+    counters:msri.join_pruned_early=380
+    counters:msri.solutions_generated=13831
+    values:msri.max_set_size=885
+    values:msri.pareto_points=10)
+  string(REGEX MATCH "^([a-z]+):(.+)=([0-9]+)$" _ "${entry}")
+  string(JSON got GET "${doc}" "${CMAKE_MATCH_1}" "${CMAKE_MATCH_2}")
+  if(NOT got STREQUAL CMAKE_MATCH_3)
+    message(FATAL_ERROR "${CMAKE_MATCH_1} ${CMAKE_MATCH_2} = ${got},"
+                        " expected ${CMAKE_MATCH_3}")
+  endif()
+endforeach()
+string(JSON calls GET "${doc}" timers "mfs.time" calls)
+if(NOT calls STREQUAL "164")
+  message(FATAL_ERROR "timer mfs.time recorded ${calls} calls, expected 164")
+endif()
 
 # Strict field-level validation through the reference checker when python3
 # is available (it is in CI; skipping locally keeps the test hermetic).
