@@ -36,13 +36,16 @@ ArdResult ComputeArd(const RcTree& tree, const RepeaterAssignment& repeaters,
   // serve as the orientation root (the decoupling logic needs the repeater
   // between a parent and a child); walk to the nearest unbuffered node —
   // the ARD is root-independent and terminals are never buffered, so the
-  // walk terminates.
+  // walk terminates.  A repeater on any other node is rejected before its
+  // two edges are read.
   const RootedTree rooted = [&] {
     const obs::ScopedTimer timer(sink != nullptr ? sink->ard_rooting
                                                  : nullptr);
     NodeId prev = kNoNode;
     while (repeaters.Has(root)) {
       const auto& adj = tree.AdjacentEdges(root);
+      MSN_CHECK_MSG(adj.size() == 2,
+                    "repeater must sit on a degree-2 insertion point");
       const RcEdge& e0 = tree.Edge(adj[0]);
       const NodeId n0 = e0.a == root ? e0.b : e0.a;
       const RcEdge& e1 = tree.Edge(adj[1]);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <ostream>
+#include <random>
 #include <sstream>
 
 #include "obs/stats.h"
@@ -22,10 +23,15 @@ std::uint64_t Mix64(std::uint64_t x) {
 }  // namespace
 
 std::uint64_t NewTraceId() {
-  static std::atomic<std::uint64_t> counter{0};
+  // Seeded once per process, so a restarted server does not hand out
+  // (and overwrite the trace files of) its predecessor's ids.
+  static std::atomic<std::uint64_t> counter{[] {
+    std::random_device entropy;
+    return (std::uint64_t{entropy()} << 32) ^ entropy();
+  }()};
   std::uint64_t id = 0;
   while (id == 0) {
-    id = Mix64(counter.fetch_add(1, std::memory_order_relaxed) + 1);
+    id = Mix64(counter.fetch_add(1, std::memory_order_relaxed));
   }
   return id;
 }

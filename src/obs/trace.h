@@ -6,9 +6,8 @@
 //      be null; opening a span through a null trace is exactly one pointer
 //      compare — ScopedSpan does not read the clock when its Trace* is null.
 //   2. Thread-confined by design; nothing is atomic except the process-wide
-//      trace-id generator.  One Trace belongs to one request on one thread.
-//      Parallel RunMsri workers receive a null trace, the same way they
-//      receive a null StatsSink.
+//      trace-id generator.  One Trace belongs to one request on one thread,
+//      the thread that runs its whole DP.
 //   3. Bounded memory under storm load.  The span buffer is a fixed-capacity
 //      ring-less buffer: once full, further spans are counted as dropped
 //      instead of recorded, so a pathological request cannot balloon the
@@ -31,9 +30,10 @@
 
 namespace msn::obs {
 
-/// Fresh process-unique 64-bit trace id (never zero).  A global atomic
-/// counter mixed through splitmix64, so ids are unique, well-spread, and
-/// need no locking or entropy source.
+/// Fresh 64-bit trace id (never zero).  A global atomic counter, seeded
+/// once per process from std::random_device and mixed through splitmix64:
+/// ids are unique within the process, differ across processes (so
+/// restarts do not reuse them), and cost no lock.
 std::uint64_t NewTraceId();
 
 /// The canonical textual form of a trace id: 16 lowercase hex characters.

@@ -141,17 +141,6 @@ void SolutionCache::Flush() {
   ++flushes_;
 }
 
-std::vector<SolutionCache::DumpedEntry> SolutionCache::Dump() const {
-  std::vector<DumpedEntry> out;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [fp, entry] : shard->lru) {
-      out.push_back({fp, entry.text, entry.summary});
-    }
-  }
-  return out;
-}
-
 CacheStats SolutionCache::Snapshot() const {
   CacheStats stats;
   for (const std::unique_ptr<Shard>& shard : shards_) {

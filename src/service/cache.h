@@ -72,17 +72,6 @@ class SolutionCache {
   /// Drops every entry (counters survive; flushes increments).
   void Flush();
 
-  /// One entry copied out of the cache (persistence compaction).
-  struct DumpedEntry {
-    Fingerprint fingerprint;
-    std::string text;
-    MsriSummary summary;
-  };
-  /// Copies every entry, most-recently-used first within each shard
-  /// (shards concatenated) — callers preserving recency write the
-  /// reverse order.
-  std::vector<DumpedEntry> Dump() const;
-
   /// The byte charge an entry with this text/summary carries against
   /// the budget (texts + summaries + bookkeeping overhead).
   static std::size_t EntryCost(const std::string& text,
@@ -94,7 +83,7 @@ class SolutionCache {
   const CacheConfig& Config() const { return config_; }
 
   /// Exports the snapshot as `service.cache.*` counters and values into
-  /// a RunStats registry (the msn-service-stats-v2 building block).
+  /// a RunStats registry (the msn-service-stats-v3 building block).
   void ExportStats(obs::RunStats* registry) const;
 
  private:

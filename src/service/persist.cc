@@ -1,20 +1,11 @@
 #include "service/persist.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
 
 namespace msn::service {
-namespace {
-
-std::pair<std::uint64_t, std::uint64_t> LiveKey(const Fingerprint& fp) {
-  return {fp.hi, fp.lo};
-}
-
-}  // namespace
 
 std::string PersistentCache::SegmentPath(const std::string& dir) {
   return dir + "/cache.msnseg";
@@ -48,51 +39,32 @@ void PersistentCache::WarmFromSegment() {
   const std::string path = SegmentPath(pconfig_.dir);
   const ReplayStats rs = ReplaySegment(
       path, pconfig_.max_record_bytes,
-      [this](SegmentRecord&& rec, std::uint64_t framed_bytes) {
+      [this](SegmentRecord&& rec) {
         // A record bigger than the whole cache budget could never be
-        // kept; skip it (it stays on disk as dead weight until the next
-        // compaction).
+        // kept; skip it (it stays on disk until the next flush).
         if (SolutionCache::EntryCost(rec.text, rec.summary) >
             cache_.Config().max_bytes) {
           ++counters_.skipped;
           return;
         }
-        const auto key = LiveKey(rec.fingerprint);
-        const auto it = live_.find(key);
-        if (it != live_.end()) {
-          live_sum_ -= it->second;  // superseded: last record wins
-        }
-        live_[key] = framed_bytes;
-        live_sum_ += framed_bytes;
         CanonicalRequest request;
         request.fingerprint = rec.fingerprint;
         request.text = std::move(rec.text);
         // Oldest-first insertion order: LRU eviction under the budget
-        // keeps the newest replayed records.
+        // keeps the newest replayed records, and a later record of the
+        // same fingerprint replaces an earlier one (last record wins).
         cache_.Insert(request, std::move(rec.summary));
         ++counters_.replayed;
       });
   counters_.skipped += rs.skipped;
   counters_.truncations += rs.truncations;
-  if (rs.file_exists && !rs.header_ok) {
-    ++counters_.header_resets;
-    live_.clear();
-    live_sum_ = 0;
-  }
+  if (rs.file_exists && !rs.header_ok) ++counters_.header_resets;
   const std::uint64_t keep =
       rs.truncations > 0 ? rs.valid_bytes : std::uint64_t{0};
   MSN_CHECK_MSG(writer_.Open(path, keep),
                 "cannot open cache segment '"
                     << path << "' (already locked by another server?)");
   counters_.file_bytes = writer_.FileBytes();
-  counters_.live_bytes = live_sum_;
-  counters_.dead_bytes = DeadBytesLocked();
-}
-
-std::uint64_t PersistentCache::DeadBytesLocked() const {
-  const std::uint64_t used = kSegmentHeaderBytes + live_sum_;
-  const std::uint64_t file = writer_.FileBytes();
-  return file > used ? file - used : 0;
 }
 
 void PersistentCache::Insert(const CanonicalRequest& request,
@@ -145,11 +117,11 @@ void PersistentCache::WriterLoop() {
       lock.unlock();
       // File I/O off the lock: inserts never wait on the disk.
       if (op.truncate) {
-        DoTruncate();
+        writer_.TruncateToHeader();
         lock.lock();
         dirty_ = false;  // TruncateToHeader fsyncs
       } else {
-        const bool ok = DoAppend(op.record);
+        const bool ok = writer_.Append(op.record);
         lock.lock();
         if (ok) {
           ++counters_.appends;
@@ -159,12 +131,6 @@ void PersistentCache::WriterLoop() {
         }
       }
       counters_.file_bytes = writer_.FileBytes();
-      counters_.live_bytes = live_sum_;
-      counters_.dead_bytes = DeadBytesLocked();
-      if (counters_.dead_bytes >= pconfig_.compact_min_dead_bytes &&
-          counters_.dead_bytes > counters_.live_bytes) {
-        CompactLocked(lock);
-      }
       busy_ = false;
       continue;
     }
@@ -179,79 +145,6 @@ void PersistentCache::WriterLoop() {
     if (stop_) return;
     work_cv_.wait(lock);
   }
-}
-
-bool PersistentCache::DoAppend(const SegmentRecord& record) {
-  const std::string framed = EncodeFramedRecord(record);
-  if (!writer_.AppendFramed(framed)) return false;
-  const auto key = LiveKey(record.fingerprint);
-  const auto it = live_.find(key);
-  if (it != live_.end()) live_sum_ -= it->second;
-  live_[key] = framed.size();
-  live_sum_ += framed.size();
-  return true;
-}
-
-void PersistentCache::DoTruncate() {
-  writer_.TruncateToHeader();
-  live_.clear();
-  live_sum_ = 0;
-}
-
-void PersistentCache::CompactLocked(std::unique_lock<std::mutex>& lock) {
-  lock.unlock();
-  // Rewrite the in-memory entries (the authoritative live set — budget
-  // evictions and supersessions both disappear) to a temp segment, then
-  // atomically rename it over the old one.
-  const std::string path = SegmentPath(pconfig_.dir);
-  const std::string tmp_path = path + ".tmp";
-  std::vector<SolutionCache::DumpedEntry> dump = cache_.Dump();
-  SegmentWriter tmp;
-  bool ok = tmp.Open(tmp_path) && tmp.TruncateToHeader();
-  if (ok) {
-    // Oldest first, so budget-aware replay keeps the newest again.
-    for (auto it = dump.rbegin(); ok && it != dump.rend(); ++it) {
-      SegmentRecord rec;
-      rec.fingerprint = it->fingerprint;
-      rec.text = std::move(it->text);
-      rec.summary = std::move(it->summary);
-      ok = tmp.Append(rec);
-    }
-  }
-  ok = ok && tmp.Sync();
-  if (ok) {
-    writer_.Close();
-    tmp.Close();
-    ok = std::rename(tmp_path.c_str(), path.c_str()) == 0;
-  } else {
-    tmp.Close();
-    std::remove(tmp_path.c_str());
-  }
-  // Reopen the (new or unchanged) segment for appending; rebuild the
-  // live map from what actually got written.
-  const bool reopened = writer_.Open(path);
-  if (ok && reopened) {
-    live_.clear();
-    live_sum_ = 0;
-    ReplaySegment(path, pconfig_.max_record_bytes,
-                  [this](SegmentRecord&& rec, std::uint64_t framed_bytes) {
-                    const auto key = LiveKey(rec.fingerprint);
-                    const auto it = live_.find(key);
-                    if (it != live_.end()) live_sum_ -= it->second;
-                    live_[key] = framed_bytes;
-                    live_sum_ += framed_bytes;
-                  });
-  }
-  lock.lock();
-  if (ok && reopened) {
-    ++counters_.compactions;
-  } else {
-    ++counters_.append_errors;
-  }
-  counters_.file_bytes = writer_.FileBytes();
-  counters_.live_bytes = live_sum_;
-  counters_.dead_bytes = DeadBytesLocked();
-  dirty_ = false;
 }
 
 SegmentStats PersistentCache::Segment() const {
@@ -270,14 +163,9 @@ void PersistentCache::ExportStats(obs::RunStats* registry) const {
   registry->GetCounter("service.segment.truncations").Add(seg.truncations);
   registry->GetCounter("service.segment.header_resets")
       .Add(seg.header_resets);
-  registry->GetCounter("service.segment.compactions").Add(seg.compactions);
   registry->SetValue("service.segment.enabled", seg.enabled ? 1.0 : 0.0);
   registry->SetValue("service.segment.file_bytes",
                      static_cast<double>(seg.file_bytes));
-  registry->SetValue("service.segment.live_bytes",
-                     static_cast<double>(seg.live_bytes));
-  registry->SetValue("service.segment.dead_bytes",
-                     static_cast<double>(seg.dead_bytes));
 }
 
 }  // namespace msn::service

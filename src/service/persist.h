@@ -16,11 +16,10 @@
 //     whole byte budget is skipped — each with a counted warning, never
 //     a crash.  A warmed entry still verifies canonical-text equality
 //     on every hit, so a wrong frontier can never be served.
-//   * A re-insert of a fingerprint supersedes its previous record
-//     (last-wins on replay); superseded bytes are dead weight, and when
-//     they exceed both `compact_min_dead_bytes` and the live bytes the
-//     writer compacts: the in-memory entries are rewritten to a fresh
-//     segment which atomically renames over the old one.
+//   * A re-insert of a fingerprint appends a new record that supersedes
+//     the old one (last record wins on replay).  Superseded and skipped
+//     records stay in the file until a flush or the removal of the
+//     directory; nothing rewrites the segment in place.
 //   * Flush() drops the in-memory entries AND truncates the segment —
 //     durably, so a flushed entry cannot resurrect on restart.
 //
@@ -38,8 +37,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 
 #include "obs/stats.h"
 #include "service/cache.h"
@@ -50,9 +47,6 @@ namespace msn::service {
 struct PersistConfig {
   /// Directory holding the segment; empty disables persistence.
   std::string dir;
-  /// Compact when dead (superseded/corrupt) bytes exceed this AND the
-  /// live bytes — amortized O(1) rewrite work per appended byte.
-  std::size_t compact_min_dead_bytes = 1u << 20;
   /// Replay length-field sanity bound; larger is treated as corruption.
   std::size_t max_record_bytes = 64u << 20;
 };
@@ -65,10 +59,7 @@ struct SegmentStats {
   std::uint64_t skipped = 0;        ///< Corrupt/oversized records not warmed.
   std::uint64_t truncations = 0;    ///< Corrupt tails cut at startup.
   std::uint64_t header_resets = 0;  ///< Bad-magic files restarted empty.
-  std::uint64_t compactions = 0;
   std::uint64_t file_bytes = 0;     ///< Segment size, header included.
-  std::uint64_t live_bytes = 0;     ///< Newest record per fingerprint.
-  std::uint64_t dead_bytes = 0;     ///< Superseded + skipped bytes.
   bool enabled = false;
 };
 
@@ -94,8 +85,6 @@ class PersistentCache {
 
   CacheStats Snapshot() const { return cache_.Snapshot(); }
   SegmentStats Segment() const;
-  bool PersistenceEnabled() const { return enabled_; }
-  const SolutionCache& Memory() const { return cache_; }
   std::size_t NumShards() const { return cache_.NumShards(); }
   const CacheConfig& Config() const { return cache_.Config(); }
 
@@ -109,22 +98,9 @@ class PersistentCache {
     bool truncate = false;
     SegmentRecord record;  ///< Valid when !truncate.
   };
-  struct PairHash {
-    std::size_t operator()(
-        const std::pair<std::uint64_t, std::uint64_t>& p) const {
-      return static_cast<std::size_t>(p.first ^
-                                      (p.second * 0x9e3779b97f4a7c15ull));
-    }
-  };
-  using LiveMap = std::unordered_map<std::pair<std::uint64_t, std::uint64_t>,
-                                     std::uint64_t, PairHash>;
 
   void WarmFromSegment();
   void WriterLoop();
-  bool DoAppend(const SegmentRecord& record);
-  void DoTruncate();
-  void CompactLocked(std::unique_lock<std::mutex>& lock);
-  std::uint64_t DeadBytesLocked() const;
 
   SolutionCache cache_;
   PersistConfig pconfig_;
@@ -138,11 +114,9 @@ class PersistentCache {
   bool busy_ = false;   ///< A popped op is mid-I/O (Sync must wait).
   bool dirty_ = false;  ///< Appends since the last fsync.
   SegmentStats counters_;
-  std::uint64_t live_sum_ = 0;
 
   /// Writer-thread-only after construction (no lock needed there).
   SegmentWriter writer_;
-  LiveMap live_;
 
   std::thread worker_;
 };

@@ -175,7 +175,7 @@ bool DecodeRecordPayload(const char* data, std::size_t n,
 
 ReplayStats ReplaySegment(
     const std::string& path, std::size_t max_record_bytes,
-    const std::function<void(SegmentRecord&&, std::uint64_t)>& handler) {
+    const std::function<void(SegmentRecord&&)>& handler) {
   ReplayStats rs;
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return rs;
@@ -223,7 +223,7 @@ ReplayStats ReplaySegment(
       rs.valid_bytes = record_end;
       continue;
     }
-    handler(std::move(rec), kRecordFrameBytes + len);
+    handler(std::move(rec));
     ++rs.replayed;
     rs.valid_bytes = record_end;
   }
@@ -271,16 +271,12 @@ bool SegmentWriter::Open(const std::string& path,
     }
   }
   fd_ = fd;
-  path_ = path;
   return true;
 }
 
 bool SegmentWriter::Append(const SegmentRecord& record) {
-  return AppendFramed(EncodeFramedRecord(record));
-}
-
-bool SegmentWriter::AppendFramed(const std::string& framed) {
   if (fd_ < 0) return false;
+  const std::string framed = EncodeFramedRecord(record);
   if (::lseek(fd_, static_cast<off_t>(file_bytes_), SEEK_SET) < 0) {
     return false;
   }
@@ -306,7 +302,6 @@ void SegmentWriter::Close() {
     ::close(fd_);  // releases the flock
     fd_ = -1;
   }
-  path_.clear();
   file_bytes_ = 0;
 }
 

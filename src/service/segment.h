@@ -81,16 +81,15 @@ struct ReplayStats {
   std::uint64_t valid_bytes = 0;
 };
 
-/// Replays `path` front to back, invoking `handler(record, framed_bytes)`
-/// for every intact record in file order (oldest first; the caller
-/// implements last-record-wins).  `framed_bytes` is the on-disk size of
-/// the record including its frame, for the caller's byte accounting.
-/// `max_record_bytes` bounds a credible payload length: a larger length
-/// field is indistinguishable from corruption and ends the replay as a
-/// truncated tail.  Never throws on file content.
+/// Replays `path` front to back, invoking `handler(record)` for every
+/// intact record in file order (oldest first; the caller implements
+/// last-record-wins).  `max_record_bytes` bounds a credible payload
+/// length: a larger length field is indistinguishable from corruption
+/// and ends the replay as a truncated tail.  Never throws on file
+/// content.
 ReplayStats ReplaySegment(
     const std::string& path, std::size_t max_record_bytes,
-    const std::function<void(SegmentRecord&&, std::uint64_t)>& handler);
+    const std::function<void(SegmentRecord&&)>& handler);
 
 /// Append handle on a segment file.  Open() validates or writes the
 /// header; Append() writes one framed record (EINTR-safe, short-write
@@ -109,21 +108,16 @@ class SegmentWriter {
   /// non-blocking flock: a second writer on the same live file fails.
   bool Open(const std::string& path, std::uint64_t keep_bytes = 0);
 
-  bool IsOpen() const { return fd_ >= 0; }
   bool Append(const SegmentRecord& record);
-  /// Appends pre-encoded frame+payload bytes (EncodeFramedRecord).
-  bool AppendFramed(const std::string& framed);
   bool Sync();
   /// Drops every record, leaving just the header (durable flush).
   bool TruncateToHeader();
   void Close();
 
   std::uint64_t FileBytes() const { return file_bytes_; }
-  const std::string& Path() const { return path_; }
 
  private:
   int fd_ = -1;
-  std::string path_;
   std::uint64_t file_bytes_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -9,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <list>
 #include <memory>
 #include <optional>
@@ -16,7 +18,6 @@
 #include <sstream>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include <fstream>
 
@@ -63,6 +64,22 @@ ssize_t SendNoSignal(int fd, const void* buf, std::size_t n) {
   return ::send(fd, buf, n, MSG_NOSIGNAL);
 }
 
+/// The steady_clock instant `ms` milliseconds after `now`, or nullopt
+/// when steady_clock cannot represent it (about 9.2e12 ms and up, `inf`):
+/// such a deadline can never pass, so it is no deadline.  Guards the
+/// double -> int64 conversion, which is undefined behaviour out of range.
+std::optional<std::chrono::steady_clock::time_point> DeadlineAfter(
+    std::chrono::steady_clock::time_point now, double ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::duration headroom = Clock::time_point::max() - now;
+  const std::chrono::duration<double, std::milli> wanted(ms);
+  // Negated so NaN also lands here; after it the cast is in range.
+  if (!(wanted < headroom)) return std::nullopt;
+  const auto delay = std::chrono::duration_cast<Clock::duration>(wanted);
+  if (delay >= headroom) return std::nullopt;  // rounded up to the edge
+  return now + delay;
+}
+
 }  // namespace
 
 bool TransientAcceptError(int err) {
@@ -88,22 +105,6 @@ std::chrono::milliseconds AcceptBackoffDelay(
   const std::size_t shift = std::min<std::size_t>(consecutive_failures - 1, 6);
   return std::chrono::milliseconds(
       std::min<std::int64_t>(std::int64_t{2} << shift, 100));
-}
-
-void Server::CostModel::Observe(std::size_t nodes, std::uint64_t solutions) {
-  if (nodes == 0) return;
-  const double ratio = static_cast<double>(solutions) /
-                       (static_cast<double>(nodes) * static_cast<double>(nodes));
-  const std::lock_guard<std::mutex> lock(mu_);
-  ratio_sum_ += ratio;
-  ++samples_;
-}
-
-double Server::CostModel::Estimate(std::size_t nodes) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (samples_ == 0) return 0.0;
-  return (ratio_sum_ / static_cast<double>(samples_)) *
-         (static_cast<double>(nodes) * static_cast<double>(nodes));
 }
 
 Server::Server(const Technology& tech, const ServerOptions& options)
@@ -132,15 +133,10 @@ std::string Server::ErrorResponse(const std::string& id_field,
 }
 
 std::string Server::OverloadedResponse(const std::string& id_field,
-                                       const std::string& message,
-                                       bool cost_shed) {
+                                       const std::string& message) {
   {
     const std::lock_guard<std::mutex> lock(stats_mu_);
-    if (cost_shed) {
-      ++counters_.shed_cost;
-    } else {
-      ++counters_.shed_queue;
-    }
+    ++counters_.shed_queue;
   }
   return "{" + id_field + "\"ok\":false,\"overloaded\":true,\"error\":\"" +
          obs::JsonEscape(message) + "\"}";
@@ -175,9 +171,6 @@ void Server::ExportTrace(const obs::Trace& trace) {
 void Server::RecordLatency(
     LatencyClass cls, std::chrono::steady_clock::time_point received_at) {
   const auto now = std::chrono::steady_clock::now();
-  if (received_at == std::chrono::steady_clock::time_point{}) {
-    received_at = now;
-  }
   const double us =
       std::chrono::duration<double, std::micro>(now - received_at).count();
   const std::lock_guard<std::mutex> lock(stats_mu_);
@@ -188,16 +181,15 @@ std::string Server::HandleOptimize(const JsonValue& request,
                                    const std::string& prefix,
                                    const RequestContext& rctx) {
   // Sampled requests record spans into a request-owned, thread-confined
-  // buffer (the DP runs inline on this thread; parallel workers trace
-  // nothing) and export it after the response is built.  Non-sampled
-  // requests carry a null trace: every span site costs one pointer
-  // compare, per the obs zero-overhead contract.
+  // buffer (the whole DP runs inline on this thread) and export it after
+  // the response is built.  Non-sampled requests carry a null trace:
+  // every span site costs one pointer compare, per the obs
+  // zero-overhead contract.
   std::optional<obs::Trace> trace_storage;
   if (rctx.traced) trace_storage.emplace(rctx.trace_id);
   obs::Trace* trace =
       trace_storage.has_value() ? &*trace_storage : nullptr;
-  if (trace != nullptr &&
-      rctx.received_at != std::chrono::steady_clock::time_point{}) {
+  if (trace != nullptr) {
     trace->RecordSpan("server.queue", rctx.received_at,
                       std::chrono::steady_clock::now());
   }
@@ -267,14 +259,7 @@ std::string Server::RunOptimize(const JsonValue& request,
         const obs::ScopedSpan lookup_span(trace, "cache.lookup");
         summary = cache_.Lookup(canon);
       }
-      if (summary.has_value()) {
-        // A hit is free to serve but still a calibration point: warmed
-        // summaries carry the solutions_generated of the run that
-        // produced them, so a restarted server regains its cost model
-        // without re-running anything.
-        cost_model_.Observe(tree.NumNodes(), summary->solutions_generated);
-        break;
-      }
+      if (summary.has_value()) break;
       {
         std::unique_lock<std::mutex> lock(inflight_mu_);
         if (inflight_.count(key) > 0) {
@@ -292,22 +277,7 @@ std::string Server::RunOptimize(const JsonValue& request,
           rctx.cancel.Check();
           continue;
         }
-        // This thread will run the DP.  Shed first: once the cost model
-        // is calibrated, a miss whose predicted work exceeds the budget
-        // is refused before it touches the pool.  Hits never shed.
-        if (options_.max_estimated_solutions > 0.0) {
-          const obs::ScopedSpan gate_span(trace, "server.admission");
-          const double est = cost_model_.Estimate(tree.NumNodes());
-          if (est > options_.max_estimated_solutions) {
-            std::ostringstream msg;
-            msg << "estimated cost " << static_cast<std::uint64_t>(est)
-                << " solutions exceeds budget "
-                << static_cast<std::uint64_t>(
-                       options_.max_estimated_solutions);
-            *outcome = kLatencyShed;
-            return OverloadedResponse(id_field, msg.str(), true);
-          }
-        }
+        // This thread will run the DP.
         inflight_.insert(key);
       }
       try {
@@ -334,7 +304,6 @@ std::string Server::RunOptimize(const JsonValue& request,
           const obs::ScopedSpan insert_span(trace, "cache.insert");
           cache_.Insert(canon, *summary);
         }
-        cost_model_.Observe(tree.NumNodes(), summary->solutions_generated);
         ran_dp = true;
         const std::lock_guard<std::mutex> lock(stats_mu_);
         aggregate_.MergeFrom(run);
@@ -405,55 +374,9 @@ std::string Server::RunOptimize(const JsonValue& request,
   }
 }
 
-std::string Server::HandleCommand(const std::string& cmd,
-                                  const std::string& prefix) {
-  if (cmd == "stats") {
-    // Live snapshot: no in-flight drain, no segment sync — the answer
-    // reflects the server mid-flight.  The lifecycle inequality still
-    // holds at any instant (`received` increments before any resolution
-    // counter, and latency class counts lag their counters), so
-    // mid-storm snapshots are schema-valid; segment_* counters may lag
-    // the write-behind thread.
-    std::ostringstream os;
-    WriteStatsJson(os);
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.ok;
-    }
-    return "{" + prefix + os.str().substr(1);
-  }
-  return ErrorResponse(prefix, "unknown cmd '" + cmd + "'", false);
-}
-
-std::string Server::Dispatch(const std::string& line, bool* shutdown,
-                             std::uint64_t trace_id) {
-  if (trace_id == 0) trace_id = obs::NewTraceId();
-  const std::string trace_field = TraceIdField(trace_id);
-  JsonValue request;
-  std::string id_field;
-  try {
-    request = JsonValue::Parse(line);
-    id_field = IdField(request) + trace_field;
-  } catch (const std::exception& e) {
-    return ErrorResponse(trace_field, e.what(), false);
-  }
-  const JsonValue* op = request.Find("op");
-  if (op == nullptr || !op->IsString()) {
-    if (const JsonValue* cmd = request.Find("cmd");
-        op == nullptr && cmd != nullptr && cmd->IsString()) {
-      return HandleCommand(cmd->AsString(), id_field);
-    }
-    return ErrorResponse(id_field, "request requires a string 'op'", false);
-  }
-  const std::string& name = op->AsString();
-  if (name == "optimize") {
-    RequestContext rctx;
-    rctx.trace_id = trace_id;
-    rctx.traced = SampleTrace();
-    rctx.received_at = std::chrono::steady_clock::now();
-    return HandleOptimize(request, id_field, rctx);
-  }
-  if (name == "stats") {
+std::string Server::Dispatch(const std::string& op,
+                             const std::string& id_field, bool* shutdown) {
+  if (op == "stats") {
     // Settle the write-behind segment first so segment_* counters (and
     // the on-disk state they describe) reflect every prior insert.
     cache_.Sync();
@@ -463,7 +386,7 @@ std::string Server::Dispatch(const std::string& line, bool* shutdown,
     ++counters_.ok;
     return "{" + id_field + os.str().substr(1);
   }
-  if (name == "flush") {
+  if (op == "flush") {
     cache_.Flush();
     {
       const std::lock_guard<std::mutex> lock(stats_mu_);
@@ -471,24 +394,15 @@ std::string Server::Dispatch(const std::string& line, bool* shutdown,
     }
     return "{" + id_field + "\"ok\":true,\"flushed\":true}";
   }
-  if (name == "shutdown") {
-    if (shutdown != nullptr) *shutdown = true;
+  if (op == "shutdown") {
+    *shutdown = true;
     {
       const std::lock_guard<std::mutex> lock(stats_mu_);
       ++counters_.ok;
     }
     return "{" + id_field + "\"ok\":true,\"shutdown\":true}";
   }
-  return ErrorResponse(id_field, "unknown op '" + name + "'", false);
-}
-
-std::string Server::HandleLine(const std::string& line) {
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.received;
-  }
-  bool shutdown = false;
-  return Dispatch(line, &shutdown);
+  return ErrorResponse(id_field, "unknown op '" + op + "'", false);
 }
 
 bool Server::Serve(std::istream& in, std::ostream& out) {
@@ -532,22 +446,17 @@ bool Server::ServeLoop(std::istream& in, std::ostream& out,
     }
     const JsonValue* op = request.Find("op");
     if (op == nullptr || !op->IsString()) {
-      if (const JsonValue* cmd = request.Find("cmd");
-          op == nullptr && cmd != nullptr && cmd->IsString()) {
-        // Control verbs answer inline, before the barrier below — that
-        // is the point: a live stats snapshot mid-storm.
-        write_line(HandleCommand(cmd->AsString(), id_field));
-        continue;
-      }
       write_line(
           ErrorResponse(id_field, "request requires a string 'op'", false));
       continue;
     }
     if (op->AsString() == "optimize") {
       // Per-request deadline: an explicit deadline_ms wins, else the
-      // server default; absent/<=0 with no explicit field means none.
-      bool has_deadline = options_.default_deadline_ms > 0.0;
-      double deadline_ms = options_.default_deadline_ms;
+      // server default.  None at all (default <= 0) is an infinite
+      // deadline, which DeadlineAfter turns into no deadline.
+      double deadline_ms = options_.default_deadline_ms > 0.0
+                               ? options_.default_deadline_ms
+                               : std::numeric_limits<double>::infinity();
       if (const JsonValue* d = request.Find("deadline_ms"); d != nullptr) {
         if (!d->IsNumber() || d->AsNumber() < 0.0) {
           write_line(ErrorResponse(
@@ -555,15 +464,13 @@ bool Server::ServeLoop(std::istream& in, std::ostream& out,
               false));
           continue;
         }
-        has_deadline = true;
         deadline_ms = d->AsNumber();
       }
       // Backlog gate: refuse work the pool is already drowning in.
       if (options_.max_queue_depth > 0 &&
           queue_depth_.load(std::memory_order_relaxed) >=
               options_.max_queue_depth) {
-        write_line(OverloadedResponse(
-            id_field, "queue depth limit reached", /*cost_shed=*/false));
+        write_line(OverloadedResponse(id_field, "queue depth limit reached"));
         RecordLatency(kLatencyShed, received_at);
         continue;
       }
@@ -574,17 +481,14 @@ bool Server::ServeLoop(std::istream& in, std::ostream& out,
       rctx.trace_id = trace_id;
       rctx.traced = SampleTrace();
       rctx.received_at = received_at;
-      std::chrono::steady_clock::time_point deadline;
-      if (has_deadline) {
-        deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double, std::milli>(deadline_ms));
+      const std::optional<std::chrono::steady_clock::time_point> deadline =
+          DeadlineAfter(std::chrono::steady_clock::now(), deadline_ms);
+      if (deadline.has_value()) {
         // The deadline token: its source lives only long enough to mint
         // the token (the shared state persists; nobody Cancel()s a
         // deadline explicitly).
         rctx.cancel = CancellationToken::Merged(
-            conn_token, CancellationSource(deadline).Token());
+            conn_token, CancellationSource(*deadline).Token());
       } else {
         rctx.cancel = conn_token;
       }
@@ -594,8 +498,8 @@ bool Server::ServeLoop(std::istream& in, std::ostream& out,
         write_line(HandleOptimize(request, id_field, rctx));
         queue_depth_.fetch_sub(1, std::memory_order_relaxed);
       };
-      if (has_deadline) {
-        group.Run(std::move(run), deadline,
+      if (deadline.has_value()) {
+        group.Run(std::move(run), *deadline,
                   [this, write_line, id_field, received_at] {
                     write_line(ErrorResponse(
                         id_field, "deadline exceeded before start", true));
@@ -610,7 +514,7 @@ bool Server::ServeLoop(std::istream& in, std::ostream& out,
     // stats / flush / shutdown / unknown are barriers: drain in-flight
     // optimizes so their answers reflect a settled state.
     group.Wait();
-    write_line(Dispatch(line, &shutdown, trace_id));
+    write_line(Dispatch(op->AsString(), id_field, &shutdown));
   }
   // A TCP client that vanished (EOF without shutdown, or a failed
   // write) has no use for in-flight answers: cancel them so the drain
@@ -709,6 +613,11 @@ int Server::ServeTcp(std::uint16_t port, std::ostream& log) {
       break;
     }
     accept_failures = 0;
+    // Answers are small and latency-bound: without TCP_NODELAY each one
+    // waits behind Nagle for the ACK of the previous, which a
+    // delayed-ACK client sends only with its next request.  Best effort
+    // (a non-TCP fd from an injected accept_fn refuses it harmlessly).
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     reap_finished();
     if (live.load(std::memory_order_acquire) >= options_.max_connections) {
       // At capacity: one structured refusal, then close.  The client
@@ -779,7 +688,7 @@ void Server::WriteStatsJson(std::ostream& os) const {
   cache_.ExportStats(&registry);
   const CacheStats cache = cache_.Snapshot();
   const SegmentStats segment = cache_.Segment();
-  os << "{\"schema\":\"msn-service-stats-v2\",\"jobs\":"
+  os << "{\"schema\":\"msn-service-stats-v3\",\"jobs\":"
      << pool_.NumThreads() << ",\"cache\":{\"shards\":"
      << cache_.NumShards() << ",\"entries\":" << cache.entries
      << ",\"bytes\":" << cache.bytes << ",\"max_entries\":"
@@ -790,20 +699,16 @@ void Server::WriteStatsJson(std::ostream& os) const {
      << ",\"collisions\":" << cache.collisions << ",\"flushes\":"
      << cache.flushes << ",\"segment_enabled\":"
      << (segment.enabled ? 1 : 0) << ",\"segment_bytes\":"
-     << segment.file_bytes << ",\"segment_live_bytes\":"
-     << segment.live_bytes << ",\"segment_dead_bytes\":"
-     << segment.dead_bytes << ",\"segment_appends\":" << segment.appends
+     << segment.file_bytes << ",\"segment_appends\":" << segment.appends
      << ",\"segment_append_errors\":" << segment.append_errors
      << ",\"segment_replayed\":" << segment.replayed
      << ",\"segment_skipped\":" << segment.skipped
      << ",\"segment_truncations\":" << segment.truncations
      << ",\"segment_header_resets\":" << segment.header_resets
-     << ",\"segment_compactions\":" << segment.compactions
      << "},\"requests\":{\"received\":"
      << counters.received << ",\"ok\":" << counters.ok << ",\"errors\":"
      << counters.errors << ",\"timeouts\":" << counters.timeouts
      << ",\"shed_queue\":" << counters.shed_queue
-     << ",\"shed_cost\":" << counters.shed_cost
      << ",\"shed_connections\":" << counters.shed_connections
      << ",\"cancelled\":" << counters.cancelled
      << ",\"dp_runs\":" << counters.dp_runs << "},\"latency\":{";

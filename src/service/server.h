@@ -6,15 +6,12 @@
 // line.  Ops:
 //   {"op":"optimize","id":"r1","net":"<.msn text>","mode":"repeaters",
 //    "spec_ps":950,"deadline_ms":50}
-//   {"op":"stats"}     -> msn-service-stats-v2 document
+//   {"op":"stats"}     -> msn-service-stats-v3 document
 //   {"op":"flush"}     -> drops every cache entry (and, with
 //                         persistence on, durably truncates the segment)
 //   {"op":"shutdown"}  -> drains in-flight work and stops the loop
-//   {"cmd":"stats"}    -> the same stats document, live: answered
-//                         immediately, no in-flight drain barrier and no
-//                         segment sync, so a storm can be observed
-//                         mid-flight (segment_* counters may lag the
-//                         write-behind thread)
+// A live view mid-storm is `{"op":"stats"}` sent on a connection of its
+// own: the barrier drains only that connection's in-flight work.
 //
 // Contracts:
 //   * Error containment: a malformed line, unknown op, bad net, or
@@ -44,14 +41,16 @@
 //     shutdown op stops the accept loop and drains every connection:
 //     their in-flight requests are cancelled (answered `cancelled`),
 //     their streams close, and every serve thread is joined before
-//     ServeTcp returns — no leaked threads or fds.
+//     ServeTcp returns — no leaked threads or fds.  Accepted sockets set
+//     TCP_NODELAY, so no answer waits behind Nagle for a client's ACK.
 //   * Request lifecycle: a request line is *received*, then either
-//     *shed* (queue depth or estimated cost over budget -> `overloaded`
-//     response, nothing runs), *admitted* to the pool, and finally
-//     either *served* (ok / error / pre-start timeout) or *cancelled*
-//     mid-flight (deadline expiry or its connection going away).
+//     *shed* (queue depth over budget -> `overloaded` response, nothing
+//     runs) or *admitted* to the pool, and finally either *served* (ok /
+//     error / pre-start timeout) or *cancelled* mid-flight (deadline
+//     expiry or its connection going away).
 //   * Deadlines: a request whose deadline passes before it starts is
-//     answered {"ok":false,"timeout":true,...} without running.  Once
+//     answered {"ok":false,"timeout":true,...} without running (a
+//     deadline too far out for steady_clock is no deadline).  Once
 //     started, the DP polls a cancellation token: a deadline expiring
 //     mid-run (or the client disconnecting) abandons the run in bounded
 //     time with {"ok":false,"cancelled":true,...}.  Other in-flight
@@ -110,12 +109,6 @@ struct ServerOptions {
   /// many are already admitted-but-unfinished are answered `overloaded`
   /// without running.  0 disables the gate.
   std::size_t max_queue_depth = 1024;
-  /// Load shedding by predicted cost: once the cost model is calibrated
-  /// (see Server::CostModel), a cache-missing request whose estimated
-  /// `msri.solutions_generated` exceeds this is answered `overloaded`
-  /// instead of burning pool time.  Cache hits are always served.
-  /// 0 disables the gate.
-  double max_estimated_solutions = 0.0;
   /// Injectable accept(2) for fault testing (src/service/fdbuf.h
   /// discipline); null uses the real ::accept.
   FdAcceptFn accept_fn = nullptr;
@@ -136,20 +129,13 @@ class Server {
  public:
   Server(const Technology& tech, const ServerOptions& options);
 
-  /// Processes one request line synchronously and returns the response
-  /// line (without trailing newline).  Never throws on bad input — the
-  /// response carries the error.  Deadlines and the queue-depth gate do
-  /// not apply on this path (there is no queue to wait in; the serve
-  /// loop enforces both), but the per-request cost gate does.  Safe to
-  /// call from many threads at once.
-  std::string HandleLine(const std::string& line);
-
-  /// The serve loop: reads request lines from `in` until EOF or a
-  /// shutdown op, writing one response line per request to `out`
-  /// (completion order; match by id).  Returns true when stopped by
-  /// shutdown, false on EOF.  EOF drains in-flight requests to
-  /// completion (stdin pipelines must not lose answers); the TCP path
-  /// layers disconnect-cancellation on top via ServeTcp.
+  /// The serve loop, the one request path: reads request lines from
+  /// `in` until EOF or a shutdown op, writing one response line per
+  /// request to `out` (completion order; match by id).  Returns true
+  /// when stopped by shutdown, false on EOF.  EOF drains in-flight
+  /// requests to completion (stdin pipelines must not lose answers); the
+  /// TCP path layers disconnect-cancellation on top via ServeTcp.  Safe
+  /// to run on many streams at once over this one Server.
   bool Serve(std::istream& in, std::ostream& out);
 
   /// The TCP front: accepts loopback connections on `port` (0 lets the
@@ -166,13 +152,10 @@ class Server {
     return bound_port_.load(std::memory_order_acquire);
   }
 
-  /// The msn-service-stats-v2 document: service counters, cache
+  /// The msn-service-stats-v3 document: service counters, cache
   /// snapshot, per-outcome latency histograms, and the merged
   /// per-request DP registry.
   void WriteStatsJson(std::ostream& os) const;
-
-  const SolutionCache& Cache() const { return cache_.Memory(); }
-  const PersistentCache& Persistence() const { return cache_; }
 
  private:
   struct RequestCounters {
@@ -181,35 +164,16 @@ class Server {
     std::uint64_t errors = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t shed_queue = 0;        ///< Overloaded: backlog bound.
-    std::uint64_t shed_cost = 0;         ///< Overloaded: cost estimate.
     std::uint64_t shed_connections = 0;  ///< Connections turned away.
     std::uint64_t cancelled = 0;         ///< Abandoned mid-flight.
     std::uint64_t dp_runs = 0;
   };
 
-  /// Predicts a request's DP cost from its node count before running
-  /// it.  Li & Shi's O(bn^2) bound (PAPERS.md) makes solutions/node^2 a
-  /// stable per-workload ratio; the model keeps a running mean of that
-  /// ratio over every outcome it sees — fresh DP runs and cache hits
-  /// alike, so a warm restart (persisted summaries carry their
-  /// solutions_generated) recalibrates without re-running anything.
-  /// Uncalibrated (no samples) it estimates 0, i.e. sheds nothing.
-  class CostModel {
-   public:
-    void Observe(std::size_t nodes, std::uint64_t solutions);
-    double Estimate(std::size_t nodes) const;
-
-   private:
-    mutable std::mutex mu_;
-    double ratio_sum_ = 0.0;
-    std::uint64_t samples_ = 0;
-  };
-
   /// Per-outcome latency classes of the stats document's `latency`
   /// object.  `hit` is an ok answer served without running the DP on
   /// this thread (cache hits and coalesced waiters); `miss` paid for
-  /// its own DP run; `shed` covers both admission gates; `error`
-  /// covers errors and timeouts.
+  /// its own DP run; `shed` is the queue-depth gate; `error` covers
+  /// errors and timeouts.
   enum LatencyClass : std::size_t {
     kLatencyHit = 0,
     kLatencyMiss,
@@ -229,15 +193,14 @@ class Server {
     std::uint64_t trace_id = 0;
     /// Sampled for span recording and trace-file export.
     bool traced = false;
-    /// When the request line was read; default (epoch) means "now".
+    /// When the request line was read.
     std::chrono::steady_clock::time_point received_at{};
   };
 
-  std::string Dispatch(const std::string& line, bool* shutdown,
-                       std::uint64_t trace_id = 0);
-  /// The `{"cmd":...}` control verbs (currently just "stats").
-  std::string HandleCommand(const std::string& cmd,
-                            const std::string& prefix);
+  /// Answers the barrier ops (stats, flush, shutdown) and unknown ops of
+  /// an already parsed request; sets `*shutdown` on a shutdown op.
+  std::string Dispatch(const std::string& op, const std::string& id_field,
+                       bool* shutdown);
   /// Outcome accounting + tracing wrapper around RunOptimize.
   std::string HandleOptimize(const class JsonValue& request,
                              const std::string& prefix,
@@ -250,13 +213,13 @@ class Server {
   bool SampleTrace();
   void ExportTrace(const obs::Trace& trace);
   /// Records one finished request into `latency_[cls]`, measured from
-  /// `received_at` (or from now when unset) to now.
+  /// `received_at` to now.
   void RecordLatency(LatencyClass cls,
                      std::chrono::steady_clock::time_point received_at);
   std::string ErrorResponse(const std::string& id_field,
                             const std::string& message, bool timeout);
   std::string OverloadedResponse(const std::string& id_field,
-                                 const std::string& message, bool cost_shed);
+                                 const std::string& message);
   std::string CancelledResponse(const std::string& id_field,
                                 const std::string& message);
   /// Serve with an optional connection cancel scope: when `conn_cancel`
@@ -281,7 +244,6 @@ class Server {
   /// Optimize requests seen by the trace sampler (1-in-N gate).
   std::atomic<std::uint64_t> trace_seq_{0};
 
-  CostModel cost_model_;
   std::atomic<std::uint16_t> bound_port_{0};
   /// Admitted-but-unfinished optimize requests across all connections
   /// (the load-shedding backlog gauge).

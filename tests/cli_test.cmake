@@ -103,6 +103,11 @@ if(NOT out MATCHES "needs a value")
   message(FATAL_ERROR "valueless --port not diagnosed: ${out}")
 endif()
 run_cli(2 out serve extra-positional)
+# Shedding is by --max-queue only; there is no cost gate to configure.
+run_cli(2 out serve --max-cost 5)
+if(NOT out MATCHES "unknown flag")
+  message(FATAL_ERROR "serve cost-gate flag not rejected: ${out}")
+endif()
 
 # --- gen-design / close-timing (docs/STA.md) -------------------------
 
@@ -175,8 +180,32 @@ execute_process(
 if(NOT serve_rc EQUAL 0)
   message(FATAL_ERROR "serve exited ${serve_rc}: ${serve_out} ${serve_err}")
 endif()
-if(NOT serve_out MATCHES "msn-service-stats-v2")
+if(NOT serve_out MATCHES "msn-service-stats-v3")
   message(FATAL_ERROR "serve stats response malformed: ${serve_out}")
+endif()
+
+# Trace ids differ across processes: a second run on the same input must
+# not reuse the first run's ids (a restarted --trace-dir server would
+# overwrite its predecessor's trace files).
+execute_process(
+  COMMAND ${CLI} serve
+  INPUT_FILE ${WORK}/serve_input.txt
+  WORKING_DIRECTORY ${WORK}
+  RESULT_VARIABLE serve_rc2
+  OUTPUT_VARIABLE serve_out2
+  ERROR_VARIABLE serve_err2)
+if(NOT serve_rc2 EQUAL 0)
+  message(FATAL_ERROR "serve exited ${serve_rc2}: ${serve_out2} ${serve_err2}")
+endif()
+string(REGEX MATCH "\"trace_id\":\"([0-9a-f]+)\"" _ "${serve_out}")
+set(trace_id1 "${CMAKE_MATCH_1}")
+string(REGEX MATCH "\"trace_id\":\"([0-9a-f]+)\"" _ "${serve_out2}")
+set(trace_id2 "${CMAKE_MATCH_1}")
+if(trace_id1 STREQUAL "" OR trace_id2 STREQUAL "")
+  message(FATAL_ERROR "serve answers lack a trace_id: ${serve_out}")
+endif()
+if(trace_id1 STREQUAL trace_id2)
+  message(FATAL_ERROR "two serve runs reused trace_id ${trace_id1}")
 endif()
 
 message(STATUS "msn_cli end-to-end test passed")

@@ -2,7 +2,8 @@
 // recovery"): segment record framing and CRC, adversarial-input replay
 // (every truncation point, every single-bit flip), the segment writer's
 // header/lock/truncate contracts, EINTR-safe fd I/O, and the
-// PersistentCache warm-restart / durable-flush / compaction behavior.
+// PersistentCache warm-restart / durable-flush / last-record-wins
+// behavior.
 #include "service/fdbuf.h"
 #include "service/persist.h"
 #include "service/segment.h"
@@ -96,7 +97,7 @@ std::vector<SegmentRecord> ReplayAll(const std::string& path,
   std::vector<SegmentRecord> out;
   const ReplayStats rs = ReplaySegment(
       path, 64u << 20,
-      [&out](SegmentRecord&& rec, std::uint64_t) {
+      [&out](SegmentRecord&& rec) {
         out.push_back(std::move(rec));
       });
   if (stats != nullptr) *stats = rs;
@@ -405,7 +406,6 @@ PersistConfig PersistIn(const std::string& dir) {
 
 TEST(PersistentCache, DisabledModeIsAPassThrough) {
   PersistentCache cache(SmallCache(), PersistConfig{});
-  EXPECT_FALSE(cache.PersistenceEnabled());
   const SegmentRecord rec = MakeRecord("only in memory", 1.0);
   cache.Insert(RequestOf(rec), rec.summary);
   EXPECT_TRUE(cache.Lookup(RequestOf(rec)).has_value());
@@ -423,7 +423,7 @@ TEST(PersistentCache, WarmRestartServesPredecessorsInserts) {
       MakeRecord("net three", 3.0)};
   {
     PersistentCache cache(SmallCache(), PersistIn(dir.path));
-    EXPECT_TRUE(cache.PersistenceEnabled());
+    EXPECT_TRUE(cache.Segment().enabled);
     for (const SegmentRecord& rec : recs) {
       cache.Insert(RequestOf(rec), rec.summary);
     }
@@ -431,7 +431,7 @@ TEST(PersistentCache, WarmRestartServesPredecessorsInserts) {
     const service::SegmentStats seg = cache.Segment();
     EXPECT_EQ(seg.appends, recs.size());
     EXPECT_EQ(seg.append_errors, 0u);
-    EXPECT_GT(seg.live_bytes, 0u);
+    EXPECT_GT(seg.file_bytes, kSegmentHeaderBytes);
   }
   PersistentCache warmed(SmallCache(), PersistIn(dir.path));
   const service::SegmentStats seg = warmed.Segment();
@@ -511,24 +511,23 @@ TEST(PersistentCache, SecondServerOnSameDirThrows) {
                CheckError);
 }
 
-TEST(PersistentCache, SupersededRecordsTriggerCompaction) {
+TEST(PersistentCache, SupersedingRecordWinsOnReplay) {
   ScopedDir dir;
-  PersistConfig pcfg = PersistIn(dir.path);
-  pcfg.compact_min_dead_bytes = 256;  // compact almost immediately
-  const SegmentRecord rec = MakeRecord("rewritten", 1.0);
+  // Same fingerprint and text, different frontier: the second insert
+  // appends a record that supersedes the first.
+  const SegmentRecord first = MakeRecord("rewritten", 1.0);
+  const SegmentRecord second = MakeRecord("rewritten", 2.0);
   {
-    PersistentCache cache(SmallCache(), pcfg);
-    for (int i = 0; i < 64; ++i) {
-      // Same fingerprint re-inserted: each append supersedes the last.
-      cache.Insert(RequestOf(rec), rec.summary);
-    }
-    cache.Sync();
-    const service::SegmentStats seg = cache.Segment();
-    EXPECT_GE(seg.compactions, 1u);
-    EXPECT_LT(seg.dead_bytes, 256u + seg.live_bytes);
+    PersistentCache cache(SmallCache(), PersistIn(dir.path));
+    cache.Insert(RequestOf(first), first.summary);
+    cache.Insert(RequestOf(second), second.summary);
   }
-  PersistentCache warmed(SmallCache(), pcfg);
-  EXPECT_TRUE(warmed.Lookup(RequestOf(rec)).has_value());
+  PersistentCache warmed(SmallCache(), PersistIn(dir.path));
+  EXPECT_EQ(warmed.Segment().replayed, 2u);  // both records stay on disk
+  EXPECT_EQ(warmed.Snapshot().entries, 1u);
+  const auto hit = warmed.Lookup(RequestOf(second));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, second.summary);
 }
 
 TEST(PersistentCache, CorruptSegmentBitFlipRecoversCleanly) {

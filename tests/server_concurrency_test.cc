@@ -14,8 +14,9 @@
 //     traffic — every request on a surviving connection gets exactly one
 //     parseable response, duplicates are byte-identical across
 //     connections, and no fd leaks across a full server lifecycle;
+//     every accepted socket has TCP_NODELAY set;
 //   * bounded connection count (structured `overloaded` refusal) and
-//     load shedding by queue depth and by calibrated cost estimate;
+//     load shedding by queue depth;
 //   * accept-loop fault handling: transient errno (EMFILE et al.) backs
 //     off instead of spinning or dying, fatal errno stops the loop —
 //     driven through the injectable accept fn (src/service/fdbuf.h).
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -110,6 +112,28 @@ JsonValue ServerStats(Server& server) {
   std::ostringstream os;
   server.WriteStatsJson(os);
   return JsonValue::Parse(os.str());
+}
+
+/// Serves `lines` (newline-terminated) through Server::Serve on a stream
+/// of its own, the way each TCP connection runs, and returns the
+/// response lines in completion order.
+std::vector<std::string> ServeStream(Server& server,
+                                     const std::string& lines) {
+  std::istringstream in(lines);
+  std::ostringstream out;
+  server.Serve(in, out);
+  std::vector<std::string> responses;
+  std::istringstream split(out.str());
+  for (std::string line; std::getline(split, line);) {
+    responses.push_back(line);
+  }
+  return responses;
+}
+
+/// One request line through ServeStream; returns its response line.
+std::string Ask(Server& server, const std::string& line) {
+  const std::vector<std::string> responses = ServeStream(server, line + "\n");
+  return responses.empty() ? std::string() : responses.front();
 }
 
 std::size_t OpenFdCount() {
@@ -607,13 +631,12 @@ TEST(ServerConcurrency, MixedParallelClientsEachGetExactlyOneResponse) {
     std::string stats_line;
     ASSERT_TRUE(control.Recv(&stats_line));
     const JsonValue stats = JsonValue::Parse(stats_line);
-    EXPECT_EQ(stats.Find("schema")->AsString(), "msn-service-stats-v2");
+    EXPECT_EQ(stats.Find("schema")->AsString(), "msn-service-stats-v3");
     const double received = StatsNumber(stats, "requests", "received");
     const double resolved = StatsNumber(stats, "requests", "ok") +
                             StatsNumber(stats, "requests", "errors") +
                             StatsNumber(stats, "requests", "timeouts") +
                             StatsNumber(stats, "requests", "shed_queue") +
-                            StatsNumber(stats, "requests", "shed_cost") +
                             StatsNumber(stats, "requests", "cancelled");
     EXPECT_LE(resolved, received);
     control.Send("{\"op\":\"shutdown\",\"id\":\"x\"}");
@@ -688,10 +711,48 @@ TEST(ServerConcurrency, ConnectionCapacityRefusalIsStructured) {
                    1.0);
 }
 
+/// Accept hook that records the fd of the connection it accepted last.
+struct RecordingAccept {
+  static std::atomic<int> last_fd;
+  static int Accept(int listener_fd) {
+    const int fd = ::accept(listener_fd, nullptr, nullptr);
+    if (fd >= 0) last_fd.store(fd);
+    return fd;
+  }
+};
+std::atomic<int> RecordingAccept::last_fd{-1};
+
+TEST(ServerConcurrency, AcceptedConnectionsSetTcpNoDelay) {
+  // Nagle would hold each small answer until the client ACKs the
+  // previous one, which a delayed-ACK client does only with its next
+  // request.
+  const Technology tech = SmallTech();
+  RecordingAccept::last_fd.store(-1);
+  ServerOptions options;
+  options.accept_fn = &RecordingAccept::Accept;
+  TcpServer tcp(tech, options);
+  TcpClient client(tcp.server.BoundPort());
+  ASSERT_TRUE(client.Connected());
+  // An answered request: the connection was accepted and is being served.
+  client.Send("{\"op\":\"stats\"}");
+  std::string line;
+  ASSERT_TRUE(client.Recv(&line));
+  const int fd = RecordingAccept::last_fd.load();
+  ASSERT_GE(fd, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_EQ(nodelay, 1);
+  client.Send("{\"op\":\"shutdown\"}");
+  EXPECT_TRUE(client.Recv(&line));
+  EXPECT_EQ(tcp.Join(), 0);
+}
+
 // ---------------------------------------------------------------------
-// Live stats under storm: the non-draining `{"cmd":"stats"}` verb must
-// return consistent snapshots while optimizes are in flight.  Runs in
-// the TSan leg — the race-free execution is half the assertion.
+// Live stats under storm: `{"op":"stats"}` on a stream of its own has no
+// in-flight work to drain, so it must return consistent snapshots while
+// the other streams' optimizes are in flight.  Runs in the TSan leg —
+// the race-free execution is half the assertion.
 
 TEST(ServerConcurrency, LiveStatsSnapshotsStayConsistentMidStorm) {
   const Technology tech = SmallTech();
@@ -711,16 +772,15 @@ TEST(ServerConcurrency, LiveStatsSnapshotsStayConsistentMidStorm) {
   std::thread poller([&server, &storm_done, &snapshots] {
     do {
       const std::string line =
-          server.HandleLine("{\"cmd\":\"stats\",\"id\":\"live\"}");
+          Ask(server, "{\"op\":\"stats\",\"id\":\"live\"}");
       const JsonValue doc = JsonValue::Parse(line);
-      EXPECT_EQ(doc.Find("schema")->AsString(), "msn-service-stats-v2")
+      EXPECT_EQ(doc.Find("schema")->AsString(), "msn-service-stats-v3")
           << line;
       const double received = StatsNumber(doc, "requests", "received");
       const double resolved = StatsNumber(doc, "requests", "ok") +
                               StatsNumber(doc, "requests", "errors") +
                               StatsNumber(doc, "requests", "timeouts") +
                               StatsNumber(doc, "requests", "shed_queue") +
-                              StatsNumber(doc, "requests", "shed_cost") +
                               StatsNumber(doc, "requests", "cancelled");
       EXPECT_LE(resolved, received) << line;
       const JsonValue* latency = doc.Find("latency");
@@ -756,12 +816,18 @@ TEST(ServerConcurrency, LiveStatsSnapshotsStayConsistentMidStorm) {
   std::vector<std::thread> storm;
   for (std::size_t c = 0; c < kClients; ++c) {
     storm.emplace_back([&server, &nets, c] {
+      std::string lines;
       for (int i = 0; i < kPerClient; ++i) {
         const std::string id =
             std::string("c").append(std::to_string(c)) + "-" +
             std::to_string(i);
-        const std::string resp = server.HandleLine(OptimizeLine(
-            id, nets[static_cast<std::size_t>(i) % nets.size()]));
+        lines += OptimizeLine(
+                     id, nets[static_cast<std::size_t>(i) % nets.size()]) +
+                 "\n";
+      }
+      const std::vector<std::string> responses = ServeStream(server, lines);
+      EXPECT_EQ(responses.size(), static_cast<std::size_t>(kPerClient));
+      for (const std::string& resp : responses) {
         EXPECT_TRUE(JsonValue::Parse(resp).Find("ok")->AsBool()) << resp;
       }
     });
@@ -774,7 +840,7 @@ TEST(ServerConcurrency, LiveStatsSnapshotsStayConsistentMidStorm) {
   // Settled: every optimize resolved ok and was classified exactly once
   // as a hit (served without its own DP) or a miss (ran the DP).
   const JsonValue final_doc =
-      JsonValue::Parse(server.HandleLine("{\"cmd\":\"stats\"}"));
+      JsonValue::Parse(Ask(server, "{\"op\":\"stats\"}"));
   const JsonValue* latency = final_doc.Find("latency");
   ASSERT_NE(latency, nullptr);
   const double hit = latency->Find("hit")->Find("count")->AsNumber();
@@ -783,7 +849,7 @@ TEST(ServerConcurrency, LiveStatsSnapshotsStayConsistentMidStorm) {
   EXPECT_GE(miss, 1.0);
 
   // Every response line carries a trace_id for client-side correlation.
-  const std::string one = server.HandleLine(OptimizeLine("last", nets[0]));
+  const std::string one = Ask(server, OptimizeLine("last", nets[0]));
   EXPECT_NE(one.find("\"trace_id\":\""), std::string::npos) << one;
 }
 
@@ -827,37 +893,6 @@ TEST(ServerShedding, QueueDepthGateAnswersOverloaded) {
   EXPECT_EQ(overloaded, 2);
   const JsonValue stats = ServerStats(server);
   EXPECT_DOUBLE_EQ(StatsNumber(stats, "requests", "shed_queue"), 2.0);
-  EXPECT_DOUBLE_EQ(StatsNumber(stats, "requests", "dp_runs"), 1.0);
-}
-
-TEST(ServerShedding, CostGateShedsCalibratedMissesButServesHits) {
-  const Technology tech = SmallTech();
-  ServerOptions options;
-  options.max_estimated_solutions = 1.0;  // any calibrated miss sheds
-  Server server(tech, options);
-  const std::string small = OptimizeLine("small", NetText(ExperimentNet(83, 5)));
-
-  // Uncalibrated model estimates 0: the first request runs and becomes
-  // the calibration sample.
-  const JsonValue first = JsonValue::Parse(server.HandleLine(small));
-  EXPECT_TRUE(first.Find("ok")->AsBool());
-
-  // A different net misses the cache and the (now calibrated) estimate
-  // dwarfs the 1-solution budget: shed with a structured refusal.
-  const JsonValue shed = JsonValue::Parse(server.HandleLine(
-      OptimizeLine("shed", NetText(ExperimentNet(84, 5)))));
-  EXPECT_FALSE(shed.Find("ok")->AsBool());
-  EXPECT_TRUE(shed.Find("overloaded")->AsBool());
-  EXPECT_NE(shed.Find("error")->AsString().find("estimated cost"),
-            std::string::npos);
-
-  // The original request is a cache hit: hits are always served, even
-  // with the gate this tight.
-  const JsonValue again = JsonValue::Parse(server.HandleLine(small));
-  EXPECT_TRUE(again.Find("ok")->AsBool());
-
-  const JsonValue stats = ServerStats(server);
-  EXPECT_DOUBLE_EQ(StatsNumber(stats, "requests", "shed_cost"), 1.0);
   EXPECT_DOUBLE_EQ(StatsNumber(stats, "requests", "dp_runs"), 1.0);
 }
 

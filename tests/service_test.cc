@@ -3,7 +3,8 @@
 // cache budgets and collision-checked equality, concurrent mixed
 // hit/miss traffic (this suite is part of the TSan gate), and the
 // request/response server contracts — byte-identical duplicate answers,
-// error containment, structured deadline timeouts, flush semantics.
+// error containment, structured deadline timeouts, flush semantics —
+// all driven through Server::Serve, the one request path.
 #include "service/cache.h"
 #include "service/canonical.h"
 #include "service/json.h"
@@ -72,6 +73,17 @@ std::string OptimizeLine(const std::string& id, const std::string& net) {
   os << "{\"op\":\"optimize\",\"id\":\"" << id << "\",\"net\":\""
      << obs::JsonEscape(net) << "\"}";
   return os.str();
+}
+
+/// Sends one request line through Server::Serve on a stream of its own,
+/// the way each TCP connection runs, and returns the response line.
+std::string Ask(Server& server, const std::string& line) {
+  std::istringstream in(line + "\n");
+  std::ostringstream out;
+  server.Serve(in, out);
+  std::string response = out.str();
+  if (!response.empty() && response.back() == '\n') response.pop_back();
+  return response;
 }
 
 /// A star: root terminal -- center Steiner -- two leaf terminals with
@@ -472,8 +484,8 @@ TEST(Server, DuplicateRequestIsByteIdenticalAndServedFromCache) {
   const Technology tech = SmallTech();
   Server server(tech, ServerOptions{});
   const std::string line = OptimizeLine("q", NetText(ExperimentNet(9)));
-  const std::string first = server.HandleLine(line);
-  const std::string second = server.HandleLine(line);
+  const std::string first = Ask(server, line);
+  const std::string second = Ask(server, line);
   EXPECT_NE(first, second);  // trace ids differ per request
   EXPECT_EQ(StripTraceId(first), StripTraceId(second));
   const JsonValue response = JsonValue::Parse(first);
@@ -481,11 +493,10 @@ TEST(Server, DuplicateRequestIsByteIdenticalAndServedFromCache) {
   EXPECT_EQ(response.Find("fingerprint")->AsString().size(), 32u);
   EXPECT_GE(response.Find("pareto")->AsArray().size(), 1u);
 
-  EXPECT_EQ(server.Cache().Snapshot().hits, 1u);
   std::ostringstream stats_os;
   server.WriteStatsJson(stats_os);
   const JsonValue stats = JsonValue::Parse(stats_os.str());
-  EXPECT_EQ(stats.Find("schema")->AsString(), "msn-service-stats-v2");
+  EXPECT_EQ(stats.Find("schema")->AsString(), "msn-service-stats-v3");
   // One DP execution for two requests — both by the service counter and
   // by the merged registry's msri.total invocation count.
   EXPECT_DOUBLE_EQ(stats.Find("requests")->Find("dp_runs")->AsNumber(),
@@ -508,20 +519,26 @@ TEST(Server, ContainsBadInputWithoutDying) {
            std::string("{\"op\":\"frobnicate\"}"),
            std::string("{\"op\":\"optimize\",\"net\":\"garbage\"}"),
            std::string("{\"op\":\"optimize\"}"),
+           std::string("{\"cmd\":\"stats\"}"),  // no such channel
        }) {
-    const JsonValue response = JsonValue::Parse(server.HandleLine(line));
+    const JsonValue response = JsonValue::Parse(Ask(server, line));
+    ASSERT_NE(response.Find("ok"), nullptr) << line;
     EXPECT_FALSE(response.Find("ok")->AsBool()) << line;
-    EXPECT_NE(response.Find("error"), nullptr) << line;
+    ASSERT_NE(response.Find("error"), nullptr) << line;
+    if (line.find("cmd") != std::string::npos) {
+      EXPECT_EQ(response.Find("error")->AsString(),
+                "request requires a string 'op'");
+    }
   }
   // The loop is still alive and serving.
   const JsonValue ok = JsonValue::Parse(
-      server.HandleLine(OptimizeLine("ok", NetText(ExperimentNet(10)))));
+      Ask(server, OptimizeLine("ok", NetText(ExperimentNet(10)))));
   EXPECT_TRUE(ok.Find("ok")->AsBool());
   std::ostringstream stats_os;
   server.WriteStatsJson(stats_os);
   const JsonValue stats = JsonValue::Parse(stats_os.str());
   EXPECT_DOUBLE_EQ(stats.Find("requests")->Find("errors")->AsNumber(),
-                   5.0);
+                   6.0);
   EXPECT_DOUBLE_EQ(stats.Find("requests")->Find("ok")->AsNumber(), 1.0);
 }
 
@@ -529,16 +546,16 @@ TEST(Server, SpecPickMatchesMinCostFeasible) {
   const Technology tech = SmallTech();
   Server server(tech, ServerOptions{});
   const std::string net = NetText(ExperimentNet(11));
-  const std::string loose = server.HandleLine(
-      "{\"op\":\"optimize\",\"net\":\"" + obs::JsonEscape(net) +
+  const std::string loose = Ask(
+      server, "{\"op\":\"optimize\",\"net\":\"" + obs::JsonEscape(net) +
       "\",\"spec_ps\":1e12}");
   const JsonValue v = JsonValue::Parse(loose);
   ASSERT_TRUE(v.Find("pick")->IsArray());
   // A spec met by every point picks the cheapest one.
   EXPECT_DOUBLE_EQ(v.Find("pick")->AsArray()[0].AsNumber(),
                    v.Find("min_cost")->AsArray()[0].AsNumber());
-  const std::string tight = server.HandleLine(
-      "{\"op\":\"optimize\",\"net\":\"" + obs::JsonEscape(net) +
+  const std::string tight = Ask(
+      server, "{\"op\":\"optimize\",\"net\":\"" + obs::JsonEscape(net) +
       "\",\"spec_ps\":0.001}");
   EXPECT_TRUE(JsonValue::Parse(tight).Find("pick")->IsNull());
 }
@@ -601,19 +618,29 @@ TEST(Server, ExpiredDeadlineTimesOutWithoutDisturbingOthers) {
   options.jobs = 2;
   Server server(tech, options);
   const std::string net = NetText(ExperimentNet(30));
-  std::istringstream in(
-      OptimizeLine("live", net) + "\n" +
-      "{\"op\":\"optimize\",\"id\":\"dead\",\"net\":\"" +
-      obs::JsonEscape(net) + "\",\"deadline_ms\":0}\n" +
-      "{\"op\":\"stats\",\"id\":\"s\"}\n{\"op\":\"shutdown\"}\n");
+  const auto with_deadline = [&net](const std::string& id,
+                                    const std::string& deadline_ms) {
+    return "{\"op\":\"optimize\",\"id\":\"" + id + "\",\"net\":\"" +
+           obs::JsonEscape(net) + "\",\"deadline_ms\":" + deadline_ms +
+           "}\n";
+  };
+  // Deadlines past what steady_clock can represent (about 9.2e12 ms)
+  // are no deadline at all: served, not timed out at once.
+  std::istringstream in(OptimizeLine("live", net) + "\n" +
+                        with_deadline("dead", "0") +
+                        with_deadline("far", "1e13") +
+                        with_deadline("farther", "1e300") +
+                        "{\"op\":\"stats\",\"id\":\"s\"}\n"
+                        "{\"op\":\"shutdown\"}\n");
   std::ostringstream out;
   EXPECT_TRUE(server.Serve(in, out));
-  bool saw_live = false;
+  int served = 0;
   bool saw_dead = false;
   std::istringstream split(out.str());
   for (std::string line; std::getline(split, line);) {
-    if (line.find("\"id\":\"live\"") != std::string::npos) {
-      saw_live = true;
+    if (line.find("\"id\":\"live\"") != std::string::npos ||
+        line.find("\"id\":\"far") != std::string::npos) {
+      ++served;
       EXPECT_TRUE(JsonValue::Parse(line).Find("ok")->AsBool()) << line;
     }
     if (line.find("\"id\":\"dead\"") != std::string::npos) {
@@ -628,17 +655,16 @@ TEST(Server, ExpiredDeadlineTimesOutWithoutDisturbingOthers) {
           stats.Find("requests")->Find("timeouts")->AsNumber(), 1.0);
     }
   }
-  EXPECT_TRUE(saw_live);
+  EXPECT_EQ(served, 3);
   EXPECT_TRUE(saw_dead);
 }
 
 TEST(Server, CoalescesConcurrentDuplicatesIntoOneDpRun) {
-  // The coalescing property under real concurrency: N threads (standing
-  // in for N connections — HandleLine is the same shared entry the
-  // per-connection serve threads use) submit the identical request at
-  // once.  Exactly one DP may run; every caller must get byte-identical
-  // bytes, whether it was the owner, a coalesced waiter, or a late
-  // cache hit.
+  // The coalescing property under real concurrency: N threads, each
+  // serving its own stream as a TCP connection thread does, submit the
+  // identical request at once.  Exactly one DP may run; every caller
+  // must get byte-identical bytes, whether it was the owner, a coalesced
+  // waiter, or a late cache hit.
   const Technology tech = SmallTech();
   ServerOptions options;
   options.jobs = 4;
@@ -652,7 +678,7 @@ TEST(Server, CoalescesConcurrentDuplicatesIntoOneDpRun) {
   for (std::size_t i = 0; i < kClients; ++i) {
     clients.emplace_back(
         [&server, &responses, &line, i] {
-          responses[i] = server.HandleLine(line);
+          responses[i] = Ask(server, line);
         });
   }
   for (std::thread& t : clients) t.join();
@@ -680,11 +706,11 @@ TEST(Server, FlushForcesRecomputeWithIdenticalBytes) {
   const Technology tech = SmallTech();
   Server server(tech, ServerOptions{});
   const std::string line = OptimizeLine("f", NetText(ExperimentNet(31)));
-  const std::string first = server.HandleLine(line);
+  const std::string first = Ask(server, line);
   const JsonValue flushed =
-      JsonValue::Parse(server.HandleLine("{\"op\":\"flush\"}"));
+      JsonValue::Parse(Ask(server, "{\"op\":\"flush\"}"));
   EXPECT_TRUE(flushed.Find("ok")->AsBool());
-  const std::string third = server.HandleLine(line);
+  const std::string third = Ask(server, line);
   // recompute must reproduce the bytes (modulo the per-request trace id)
   EXPECT_EQ(StripTraceId(first), StripTraceId(third));
   std::ostringstream stats_os;

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates msn-run-stats-v1 / msn-bench-stats-v1 / msn-batch-stats-v1 /
-msn-service-stats-v2 / msn-sta-stats-v1 JSON files.
+msn-service-stats-v3 / msn-sta-stats-v1 JSON files.
 
 Usage:
     check_stats_schema.py STATS.json [STATS.json ...]
@@ -17,7 +17,7 @@ RUN_SCHEMA = "msn-run-stats-v1"
 BENCH_SCHEMA = "msn-bench-stats-v1"
 MERGED_BENCH_SCHEMA = "msn-bench-stats-v1-merged"
 BATCH_SCHEMA = "msn-batch-stats-v1"
-SERVICE_SCHEMA = "msn-service-stats-v2"
+SERVICE_SCHEMA = "msn-service-stats-v3"
 STA_SCHEMA = "msn-sta-stats-v1"
 
 # The service stats document's fixed integer fields
@@ -25,17 +25,16 @@ STA_SCHEMA = "msn-sta-stats-v1"
 REQUIRED_SERVICE_CACHE = (
     "shards", "entries", "bytes", "max_entries", "max_bytes",
     "hits", "misses", "evictions", "insertions", "collisions", "flushes",
-    "segment_enabled", "segment_bytes", "segment_live_bytes",
-    "segment_dead_bytes", "segment_appends", "segment_append_errors",
-    "segment_replayed", "segment_skipped", "segment_truncations",
-    "segment_header_resets", "segment_compactions",
+    "segment_enabled", "segment_bytes", "segment_appends",
+    "segment_append_errors", "segment_replayed", "segment_skipped",
+    "segment_truncations", "segment_header_resets",
 )
 REQUIRED_SERVICE_REQUESTS = (
     "received", "ok", "errors", "timeouts",
-    "shed_queue", "shed_cost", "shed_connections", "cancelled",
+    "shed_queue", "shed_connections", "cancelled",
     "dp_runs",
 )
-# Per-outcome latency classes of the v2 `latency` object, and the fields
+# Per-outcome latency classes of the `latency` object, and the fields
 # each class object must carry (docs/OBSERVABILITY.md).
 SERVICE_LATENCY_CLASSES = ("hit", "miss", "cancelled", "shed", "error")
 SERVICE_LATENCY_FIELDS = ("count", "window_count", "mean_us",
@@ -250,8 +249,7 @@ def _check_latency(latency, req, path):
         ("hit+miss", latency["hit"]["count"] + latency["miss"]["count"],
          req["ok"]),
         ("cancelled", latency["cancelled"]["count"], req["cancelled"]),
-        ("shed", latency["shed"]["count"],
-         req["shed_queue"] + req["shed_cost"]),
+        ("shed", latency["shed"]["count"], req["shed_queue"]),
         ("error", latency["error"]["count"],
          req["errors"] + req["timeouts"]),
     )
@@ -262,7 +260,7 @@ def _check_latency(latency, req, path):
 
 
 def _check_service(doc, path):
-    """msn-service-stats-v2: jobs, cache + request counters, latency
+    """msn-service-stats-v3: jobs, cache + request counters, latency
     histograms, registry."""
     if not isinstance(doc.get("jobs"), int) or doc["jobs"] < 1:
         raise SchemaError(f"{path}: service 'jobs' must be a positive int")
@@ -282,16 +280,7 @@ def _check_service(doc, path):
                           f" ({cache['entries']} > {cache['max_entries']})")
     if cache["segment_enabled"] not in (0, 1):
         raise SchemaError(f"{path}: cache.segment_enabled must be 0 or 1")
-    if cache["segment_enabled"]:
-        # live + dead never exceed the file (the header is neither).
-        if (cache["segment_live_bytes"] + cache["segment_dead_bytes"]
-                > cache["segment_bytes"]):
-            raise SchemaError(
-                f"{path}: segment byte accounting inconsistent"
-                f" (live {cache['segment_live_bytes']} + dead"
-                f" {cache['segment_dead_bytes']} >"
-                f" {cache['segment_bytes']})")
-    else:
+    if not cache["segment_enabled"]:
         for name in REQUIRED_SERVICE_CACHE:
             if name.startswith("segment_") and cache[name] != 0:
                 raise SchemaError(f"{path}: cache.{name} nonzero while"
@@ -301,7 +290,7 @@ def _check_service(doc, path):
     # a refused connection never contributes a received request line.
     req = doc["requests"]
     resolved = (req["ok"] + req["errors"] + req["timeouts"] +
-                req["shed_queue"] + req["shed_cost"] + req["cancelled"])
+                req["shed_queue"] + req["cancelled"])
     if resolved > req["received"]:
         raise SchemaError(
             f"{path}: request accounting inconsistent ({resolved}"

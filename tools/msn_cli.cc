@@ -34,16 +34,16 @@
 //       writes the msn-sta-stats-v1 document (docs/STA.md).
 //   msn_cli serve [--jobs N] [--cache-entries K] [--cache-bytes B]
 //           [--cache-shards S] [--cache-dir DIR] [--deadline-ms D]
-//           [--port P] [--max-connections C] [--max-queue Q] [--max-cost E]
+//           [--port P] [--max-connections C] [--max-queue Q]
 //           [--trace-dir DIR] [--trace-sample N]
 //       Long-running optimization service: line-delimited JSON requests on
 //       stdin (or a loopback TCP port with --port, serving up to
 //       --max-connections clients concurrently), responses on stdout,
 //       answers cached by canonical net fingerprint (docs/SERVICE.md).
 //       --cache-dir persists the cache to DIR/cache.msnseg and warms it
-//       back on restart (crash-safe; docs/SERVICE.md).  --max-queue and
-//       --max-cost shed excess load with structured `overloaded`
-//       responses; expired deadlines cancel in-flight DP runs.
+//       back on restart (crash-safe; docs/SERVICE.md).  --max-queue sheds
+//       excess load with structured `overloaded` responses; expired
+//       deadlines cancel in-flight DP runs.
 //       --trace-dir writes one Chrome trace-event JSON file per sampled
 //       optimize request (load in Perfetto; summarize with
 //       tools/trace_view.py); --trace-sample N traces 1 in N requests
@@ -112,7 +112,7 @@ struct UsageError : std::runtime_error {
       "  msn_cli serve [--jobs N] [--cache-entries K] [--cache-bytes B]"
       " [--cache-shards S] [--cache-dir DIR] [--deadline-ms D]"
       " [--port P] [--max-connections C] [--max-queue Q]"
-      " [--max-cost E] [--trace-dir DIR] [--trace-sample N]\n";
+      " [--trace-dir DIR] [--trace-sample N]\n";
   std::exit(2);
 }
 
@@ -549,7 +549,7 @@ int CmdServe(int argc, char** argv) {
                  {"--jobs", "--cache-entries", "--cache-bytes",
                   "--cache-shards", "--cache-dir", "--deadline-ms",
                   "--port", "--max-connections", "--max-queue",
-                  "--max-cost", "--trace-dir", "--trace-sample"});
+                  "--trace-dir", "--trace-sample"});
   if (!pos.empty()) {
     throw UsageError("serve takes no positional arguments");
   }
@@ -593,11 +593,6 @@ int CmdServe(int argc, char** argv) {
     const double n = NumericFlag(flags, "--max-queue");
     if (n < 0) throw CliError("--max-queue must be non-negative");
     opt.max_queue_depth = static_cast<std::size_t>(n);
-  }
-  if (flags.count("--max-cost")) {
-    const double n = NumericFlag(flags, "--max-cost");
-    if (n < 0) throw CliError("--max-cost must be non-negative");
-    opt.max_estimated_solutions = n;
   }
   if (flags.count("--trace-dir")) {
     const std::string& dir = flags.at("--trace-dir");

@@ -192,7 +192,7 @@ def scenario_protocol(cli, jobs):
     third = by_id(lines, "r")[2]
     if strip_trace(third) != strip_trace(dup[0]):
         fail("post-flush recompute changed the response payload")
-    if s2.get("schema") != "msn-service-stats-v2":
+    if s2.get("schema") != "msn-service-stats-v3":
         fail("stats schema is %r" % s2.get("schema"))
     print("serve_smoke: protocol OK (%d responses, hits=%d, dp_runs=%d)"
           % (len(lines), s2["cache"]["hits"], s2["requests"]["dp_runs"]))
@@ -303,9 +303,13 @@ def scenario_corrupt(cli, jobs):
 def scenario_trace(cli, jobs):
     """--trace-dir: every sampled optimize writes a validating trace."""
     nets = [gen_net(cli, seed=71), gen_net(cli, seed=72)]
+    # The stats barrier lets a and b finish first, so a owns its DP and
+    # a2 is a cache hit; without it, a2 can claim the DP while a is still
+    # parsing, and a then only waits on a2's run.
     requests = [
         json.dumps({"op": "optimize", "id": "a", "net": nets[0]}),
         json.dumps({"op": "optimize", "id": "b", "net": nets[1]}),
+        json.dumps({"op": "stats", "id": "settle"}),
         json.dumps({"op": "optimize", "id": "a2", "net": nets[0]}),
         json.dumps({"op": "shutdown", "id": "x"}),
     ]

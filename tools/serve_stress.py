@@ -8,9 +8,9 @@ TCP front with the traffic docs/SERVICE.md promises to survive:
     every request gets exactly one response, duplicates are answered
     identically across connections (modulo the per-request trace_id),
     and the DP runs at most once per distinct net (in-flight
-    coalescing + cache) — while a poller thread validates live
-    `{"cmd":"stats"}` snapshots (schema + lifecycle inequality)
-    mid-storm;
+    coalescing + cache) — while a poller thread on its own connection
+    validates `{"op":"stats"}` snapshots (schema + lifecycle
+    inequality) mid-storm;
   * mid-request disconnects: clients that submit work and vanish
     without reading must not crash the server (SIGPIPE), wedge a
     worker, or leak their connection fd — the server keeps serving and
@@ -187,28 +187,24 @@ def run_thread_pool(thunks):
 
 
 def check_live_stats(doc, where):
-    """Validates one live `{"cmd":"stats"}` snapshot mid-storm."""
+    """Validates one mid-storm `{"op":"stats"}` snapshot (the schema
+    checker enforces the lifecycle inequality too)."""
     try:
         check_stats_schema._check_service(doc, where)
     except check_stats_schema.SchemaError as e:
         return "%s schema violation: %s" % (where, e)
-    req = doc["requests"]
-    resolved = (req["ok"] + req["errors"] + req["timeouts"] +
-                req["shed_queue"] + req["shed_cost"] + req["cancelled"])
-    if resolved > req["received"]:
-        return ("%s: %d resolved > %d received mid-storm"
-                % (where, resolved, req["received"]))
     return None
 
 
 def scenario_storm(server, nets, clients):
     """Parallel duplicate-heavy traffic: exactly-one, byte-identical.
 
-    A poller thread hammers the non-draining `{"cmd":"stats"}` verb the
-    whole time: every live snapshot must be schema-valid (including the
-    latency histograms) and hold the lifecycle inequality even while
-    requests are in flight — the live verb must never block behind the
-    storm or expose a torn document.
+    A poller thread sends `{"op":"stats"}` on its own connection the
+    whole time, where the barrier has nothing to drain: every live
+    snapshot must be schema-valid (including the latency histograms)
+    and hold the lifecycle inequality even while requests are in
+    flight — it must never block behind the storm or expose a torn
+    document.
     """
     responses = {}  # (client, req index) -> (net index, line)
     lock = threading.Lock()
@@ -220,7 +216,7 @@ def scenario_storm(server, nets, clients):
         try:
             with Client(server.port) as conn:
                 while not storm_done.is_set():
-                    conn.send({"cmd": "stats", "id": "live"})
+                    conn.send({"op": "stats", "id": "live"})
                     doc = conn.recv()
                     err = check_live_stats(doc, "live stats")
                     if err:
@@ -308,7 +304,7 @@ def scenario_disconnects(server, big_net, clients):
     # The server is still alive and serving...
     with Client(server.port) as probe:
         probe.send({"op": "stats", "id": "alive"})
-        if probe.recv().get("schema") != "msn-service-stats-v2":
+        if probe.recv().get("schema") != check_stats_schema.SERVICE_SCHEMA:
             fail("server unresponsive after disconnect storm")
     # ...and every ghost's fd is reclaimed once their cancelled DPs
     # unwind.  Reaping happens on the accept thread when a connection
@@ -426,11 +422,6 @@ def final_stats(server):
     except check_stats_schema.SchemaError as e:
         fail("stats schema violation: %s" % e)
     req = doc["requests"]
-    resolved = (req["ok"] + req["errors"] + req["timeouts"] +
-                req["shed_queue"] + req["shed_cost"] + req["cancelled"])
-    if resolved > req["received"]:
-        fail("request accounting overflows: %d resolved > %d received"
-             % (resolved, req["received"]))
     print("serve_stress: stats OK (received=%d ok=%d cancelled=%d"
           " shed_queue=%d)" % (req["received"], req["ok"],
                                req["cancelled"], req["shed_queue"]))
