@@ -8,6 +8,32 @@
 #include "common/numeric.h"
 
 namespace msn {
+namespace {
+
+/// out = a minus b, for sorted, disjoint a and b.  Returns true iff b
+/// overlaps a, i.e. iff out covers less than a.
+bool SubtractInto(std::span<const Interval> a, std::span<const Interval> b,
+                  std::vector<Interval>& out) {
+  out.clear();
+  bool overlapped = false;
+  auto j = b.begin();
+  for (Interval rem : a) {
+    while (!rem.Empty()) {
+      // Skip subtrahend intervals entirely to the left of `rem`.
+      while (j != b.end() && j->hi <= rem.lo) ++j;
+      if (j == b.end() || j->lo >= rem.hi) {
+        out.push_back(rem);
+        break;
+      }
+      overlapped = true;
+      if (j->lo > rem.lo) out.push_back({rem.lo, j->lo});
+      rem.lo = j->hi;  // Continue with the part right of the subtrahend.
+    }
+  }
+  return overlapped;
+}
+
+}  // namespace
 
 IntervalSet::IntervalSet(double lo, double hi) {
   if (lo < hi) intervals_.push_back({lo, hi});
@@ -62,44 +88,41 @@ IntervalSet IntervalSet::Union(const IntervalSet& other) const {
   return IntervalSet(std::move(all));
 }
 
-IntervalSet IntervalSet::Intersect(const IntervalSet& other) const {
-  std::vector<Interval> out;
-  auto a = intervals_.begin();
-  auto b = other.intervals_.begin();
-  while (a != intervals_.end() && b != other.intervals_.end()) {
-    const double lo = std::max(a->lo, b->lo);
-    const double hi = std::min(a->hi, b->hi);
+void IntersectInto(std::span<const Interval> a, std::span<const Interval> b,
+                   std::vector<Interval>& out) {
+  out.clear();
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    const double lo = std::max(i->lo, j->lo);
+    const double hi = std::min(i->hi, j->hi);
     if (lo < hi) out.push_back({lo, hi});
     // Advance whichever interval ends first.
-    if (a->hi < b->hi) {
-      ++a;
+    if (i->hi < j->hi) {
+      ++i;
     } else {
-      ++b;
+      ++j;
     }
   }
+}
+
+IntervalSet IntervalSet::Intersect(const IntervalSet& other) const {
   IntervalSet result;
-  result.intervals_ = std::move(out);  // Already disjoint and sorted.
+  IntersectInto(intervals_, other.intervals_, result.intervals_);
   return result;
 }
 
 IntervalSet IntervalSet::Subtract(const IntervalSet& other) const {
-  std::vector<Interval> out;
-  auto b = other.intervals_.begin();
-  for (Interval rem : intervals_) {
-    while (!rem.Empty()) {
-      // Skip subtrahend intervals entirely to the left of `rem`.
-      while (b != other.intervals_.end() && b->hi <= rem.lo) ++b;
-      if (b == other.intervals_.end() || b->lo >= rem.hi) {
-        out.push_back(rem);
-        break;
-      }
-      if (b->lo > rem.lo) out.push_back({rem.lo, b->lo});
-      rem.lo = b->hi;  // Continue with the part right of the subtrahend.
-    }
-  }
   IntervalSet result;
-  result.intervals_ = std::move(out);
+  SubtractInto(intervals_, other.intervals_, result.intervals_);
   return result;
+}
+
+bool IntervalSet::SubtractInPlace(std::span<const Interval> region,
+                                  std::vector<Interval>& scratch) {
+  if (!SubtractInto(intervals_, region, scratch)) return false;
+  intervals_.assign(scratch.begin(), scratch.end());
+  return true;
 }
 
 IntervalSet IntervalSet::Shift(double delta, double clip_lo) const {

@@ -6,10 +6,18 @@
 //
 // The representation is a sorted vector of non-overlapping, non-adjacent
 // intervals; all operations restore that canonical form.
+//
+// Intersection and difference also exist at buffer level (IntersectInto,
+// IntervalSet::SubtractInPlace): they write into a caller-owned
+// std::vector<Interval>, so a caller that reuses its buffers stops
+// allocating once their capacity covers the largest result.  The MFS
+// dominance test runs on such buffers, one set per ComputeMfs call;
+// Intersect and Subtract run the same merges.
 #ifndef MSN_COMMON_INTERVAL_SET_H
 #define MSN_COMMON_INTERVAL_SET_H
 
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 namespace msn {
@@ -25,6 +33,12 @@ struct Interval {
 
   friend bool operator==(const Interval&, const Interval&) = default;
 };
+
+/// out = a ∩ b, by a linear merge of two sorted, disjoint interval
+/// sequences (an IntervalSet's Intervals(), or a buffer filled by this
+/// function).  Clears `out` first; `out` must not alias an input.
+void IntersectInto(std::span<const Interval> a, std::span<const Interval> b,
+                   std::vector<Interval>& out);
 
 /// A canonical union of disjoint intervals supporting the set algebra the
 /// MFS pruner needs: union, intersection, difference, shift and queries.
@@ -58,6 +72,12 @@ class IntervalSet {
   IntervalSet Intersect(const IntervalSet& other) const;
   /// Set difference: *this minus `other`.
   IntervalSet Subtract(const IntervalSet& other) const;
+
+  /// *this minus `region` (sorted and disjoint), built in `scratch`.  The
+  /// stored intervals are rewritten, reusing their capacity, only when
+  /// `region` overlaps the set.  Returns true iff the set shrank.
+  bool SubtractInPlace(std::span<const Interval> region,
+                       std::vector<Interval>& scratch);
 
   /// Translates every interval by `delta` (negative deltas allowed); the
   /// result is clipped to [clip_lo, +inf).  MFS uses delta = -cap_shift with

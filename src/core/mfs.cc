@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/numeric.h"
+#include "common/check.h"
 
 namespace msn {
 namespace {
 
-bool ScalarLeq(double a, double b, double eps) { return a <= b + eps; }
+/// Slack on the stage-length scalars (µm): they are sums of wire lengths,
+/// so only rounding noise separates equal ones.
+constexpr double kStageEps = 1e-6;
 
 void SortByCostCap(SolutionSet& set) {
   std::sort(set.begin(), set.end(),
@@ -18,165 +20,201 @@ void SortByCostCap(SolutionSet& set) {
             });
 }
 
-/// All-pairs pruning over `set`, in place; dead entries become nullptr.
-/// Precondition: entries are non-null and sorted by (cost, cap) — callers
-/// sort before pruning, and divide-and-conquer slices of a sorted set
-/// stay sorted.  PruneByDominance tests cost before anything else, so a
-/// dominator i can never prune a victim j with cost[j] < cost[i] - eps;
-/// the sort makes those victims a prefix of each row, skipped wholesale
-/// without running the test (predictive pruning — the skip is decided
-/// from the sort invariant, not from the comparison itself).
-void PairwisePrune(SolutionSet& set, const MfsOptions& options,
-                   MfsStats* stats) {
-  const std::size_t n = set.size();
-  // Cost column snapshot: victims nulled mid-loop keep their slot's role
-  // in the ordering, so the prefix threshold stays well defined.
-  std::vector<double> cost(n);
-  for (std::size_t i = 0; i < n; ++i) cost[i] = set[i]->cost;
-  const double cost_eps = options.CostEps();
-  std::size_t lo = 0;  // first j that row i could possibly prune
-  for (std::size_t i = 0; i < n; ++i) {
-    while (lo < n && cost[lo] < cost[i] - cost_eps) ++lo;
-    if (!set[i]) continue;
-    if (stats) {
+/// The scalar coordinates of one slot, copied out of its solution so the
+/// pair loops stream a dense column and dereference a solution only for
+/// the pairs whose scalars already pass.
+struct Key {
+  double cost = 0.0;
+  double cap = 0.0;
+  double sink_delay = 0.0;
+  double stage_span_um = 0.0;
+  double stage_diam_um = 0.0;
+  int parity = 0;
+  bool live = true;  ///< False once the slot's solution is pruned away.
+};
+
+/// One pruning pass over a (cost, cap)-sorted set.  Sub-sets are index
+/// ranges [b, e) of the one array and a pruned slot is only marked dead,
+/// so no recursion level copies a SolutionSet; Compact drops the dead
+/// slots once at the end.  The interval buffers belong to the pass and are
+/// reused by all of its dominance tests, so a test allocates only while
+/// some region is larger than every earlier one.  Each pass is local to
+/// one ComputeMfs call, which keeps concurrent calls independent.
+class DominanceSweep {
+ public:
+  DominanceSweep(SolutionSet& set, const MfsOptions& options,
+                 MfsStats& stats)
+      : set_(set),
+        cost_eps_(options.CostEps()),
+        cap_eps_(options.CapEps()),
+        delay_eps_(options.DelayEps()),
+        base_case_(options.base_case),
+        stats_(stats) {
+    keys_.reserve(set.size());
+    for (const SolutionPtr& s : set) {
+      keys_.push_back({s->cost, s->cap, s->sink_delay, s->stage_span_um,
+                       s->stage_diam_um, s->parity, true});
+    }
+  }
+
+  /// All-pairs pruning of [b, e).  PruneSlot fails on cost before anything
+  /// else can happen, so a dominator i can never prune a victim j with
+  /// cost[j] < cost[i] - eps; the sort makes those victims a prefix of each
+  /// row, skipped wholesale without running the test (predictive pruning:
+  /// the skip is decided from the sort invariant, not by the test).
+  void Pairwise(std::size_t b, std::size_t e) {
+    std::size_t lo = b;          // first j that row i could possibly prune
+    std::size_t live_below = 0;  // live slots in [b, lo)
+    for (std::size_t i = b; i < e; ++i) {
+      // Dead slots keep their key, so the threshold stays well defined.
+      // A slot below lo is never tested again, so its liveness is final
+      // when lo passes it.
+      while (lo < e && keys_[lo].cost < keys_[i].cost - cost_eps_) {
+        if (keys_[lo].live) ++live_below;
+        ++lo;
+      }
+      if (!keys_[i].live) continue;
       // Tests the unsorted all-pairs loop would have run and lost on the
-      // cost check.  lo <= i, so j == i never lands in this prefix.
-      for (std::size_t j = 0; j < lo; ++j) {
-        if (set[j]) ++stats->predictive_skipped;
-      }
-    }
-    for (std::size_t j = lo; j < n; ++j) {
-      if (i == j || !set[j]) continue;
-      if (stats) ++stats->comparisons;
-      if (PruneByDominance(*set[i], *set[j], options, stats)) {
-        if (stats) ++stats->pruned;
-        set[j] = nullptr;
+      // cost check.
+      stats_.predictive_skipped += live_below;
+      for (std::size_t j = lo; j < e; ++j) {
+        if (j != i && keys_[j].live) PruneSlot(i, j);
       }
     }
   }
-}
 
-void CrossPrune(SolutionSet& left, SolutionSet& right,
-                const MfsOptions& options, MfsStats* stats) {
-  const double cost_eps = options.CostEps();
-  for (SolutionPtr& l : left) {
-    if (!l) continue;
-    for (SolutionPtr& r : right) {
-      if (!l) break;       // l was just pruned by some r; row is done
-      if (!r) continue;    // already-pruned slot; later slots may be live
-      if (stats) ++stats->comparisons;
-      if (PruneByDominance(*l, *r, options, stats)) {
-        if (stats) ++stats->pruned;
-        r = nullptr;
-        continue;
-      }
-      // Every left cost <= every right cost (the recursion splits a
-      // (cost, cap)-sorted set and never reorders), so r can undercut l
-      // on cost only inside the eps band; outside it the reverse test is
-      // decided by the sort invariant without running.
-      if (r->cost > l->cost + cost_eps) {
-        if (stats) ++stats->predictive_skipped;
-        continue;
-      }
-      if (stats) ++stats->comparisons;
-      if (PruneByDominance(*r, *l, options, stats)) {
-        if (stats) ++stats->pruned;
-        l = nullptr;
+  /// Fig. 4 over [b, e): split, recurse, cross-prune the survivors.
+  void Recurse(std::size_t b, std::size_t e) {
+    if (e - b <= base_case_) {
+      Pairwise(b, e);
+      return;
+    }
+    const std::size_t mid = b + (e - b) / 2;
+    Recurse(b, mid);
+    Recurse(mid, e);
+    Cross(b, mid, e);
+  }
+
+  /// Drops the dead slots, keeping the survivors' order.
+  void Compact() {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < set_.size(); ++i) {
+      if (keys_[i].live) set_[n++].swap(set_[i]);
+    }
+    set_.resize(n);
+  }
+
+ private:
+  void Cross(std::size_t b, std::size_t mid, std::size_t e) {
+    for (std::size_t l = b; l < mid; ++l) {
+      if (!keys_[l].live) continue;
+      for (std::size_t r = mid; r < e; ++r) {
+        if (!keys_[r].live) continue;  // pruned slot; later ones may live
+        if (PruneSlot(l, r)) continue;
+        // Every left cost <= every right cost (the recursion splits a
+        // (cost, cap)-sorted range and never reorders), so r can undercut
+        // l on cost only inside the eps band; outside it the reverse test
+        // is decided by the sort invariant without running.
+        if (keys_[r].cost > keys_[l].cost + cost_eps_) {
+          ++stats_.predictive_skipped;
+          continue;
+        }
+        if (PruneSlot(r, l)) break;  // l is gone; its row is done
       }
     }
   }
-}
 
-void Compact(SolutionSet& set) {
-  std::erase_if(set, [](const SolutionPtr& s) { return s == nullptr; });
-}
-
-void MfsRecurse(SolutionSet& set, const MfsOptions& options,
-                MfsStats* stats) {
-  if (set.size() <= options.base_case) {
-    PairwisePrune(set, options, stats);
-    Compact(set);
-    return;
+  /// One dominance test (Def. 4.3): shrinks slot v's valid region by the
+  /// region where slot d, on its own valid region, is no worse in all five
+  /// dimensions up to the slacks.  Returns true when v emptied and died.
+  bool PruneSlot(std::size_t d, std::size_t v) {
+    ++stats_.comparisons;
+    const Key& kd = keys_[d];
+    const Key& kv = keys_[v];
+    // Parity classes are incomparable: a later inverter turns one into
+    // the feasible class and the other into the infeasible one.
+    if (!(kd.cap <= kv.cap + cap_eps_ && kd.cost <= kv.cost + cost_eps_ &&
+          kd.sink_delay <= kv.sink_delay + delay_eps_ &&
+          kd.parity == kv.parity &&
+          kd.stage_span_um <= kv.stage_span_um + kStageEps &&
+          kd.stage_diam_um <= kv.stage_diam_um + kStageEps)) {
+      return false;
+    }
+    // A solution listed twice never prunes itself.
+    if (set_[d] == set_[v]) return false;
+    MsriSolution& victim = *set_[v];
+    if (!ShrinkValid(*set_[d], victim)) return false;
+    if (!victim.valid.Empty()) {
+      ++stats_.pruned_partial;
+      return false;
+    }
+    ++stats_.pruned;
+    keys_[v].live = false;
+    return true;
   }
-  const std::size_t mid = set.size() / 2;
-  SolutionSet left(set.begin(), set.begin() + static_cast<std::ptrdiff_t>(mid));
-  SolutionSet right(set.begin() + static_cast<std::ptrdiff_t>(mid),
-                    set.end());
-  MfsRecurse(left, options, stats);
-  MfsRecurse(right, options, stats);
-  CrossPrune(left, right, options, stats);
-  Compact(left);
-  Compact(right);
-  set.clear();
-  set.insert(set.end(), left.begin(), left.end());
-  set.insert(set.end(), right.begin(), right.end());
-}
+
+  /// victim.valid minus (arr region ∩ diam region ∩ dominator.valid), as
+  /// linear merges into the pass's buffers.  Returns true iff it shrank.
+  /// Live slots always have non-empty valid regions.
+  bool ShrinkValid(const MsriSolution& dominator, MsriSolution& victim) {
+    // Only the part of the region inside victim.valid can remove anything,
+    // so both exits below leave every solution as the full test would.
+    IntersectInto(dominator.valid.Intervals(), victim.valid.Intervals(),
+                  shared_);
+    if (shared_.empty()) return false;
+    dominator.arr.RegionLessEqual(victim.arr, delay_eps_, arr_);
+    if (arr_.empty()) return false;
+    dominator.diam.RegionLessEqual(victim.diam, delay_eps_, diam_);
+    IntersectInto(arr_, diam_, meet_);
+    IntersectInto(meet_, shared_, region_);
+    return victim.valid.SubtractInPlace(region_, rest_);
+  }
+
+  SolutionSet& set_;
+  std::vector<Key> keys_;
+  const double cost_eps_;
+  const double cap_eps_;
+  const double delay_eps_;
+  const std::size_t base_case_;
+  MfsStats& stats_;
+  // Scratch of ShrinkValid, named for what each holds.
+  std::vector<Interval> shared_;
+  std::vector<Interval> arr_;
+  std::vector<Interval> diam_;
+  std::vector<Interval> meet_;
+  std::vector<Interval> region_;
+  std::vector<Interval> rest_;
+};
 
 }  // namespace
 
-bool PruneByDominance(const MsriSolution& dominator, MsriSolution& victim,
-                      const MfsOptions& options, MfsStats* stats) {
-  if (victim.valid.Empty()) return true;
-  if (&dominator == &victim) return false;
-  // Parity classes are incomparable: a later inverter turns one into the
-  // feasible class and the other into the infeasible one.
-  if (dominator.parity != victim.parity) return false;
-  if (!ScalarLeq(dominator.cost, victim.cost, options.CostEps())) {
-    return false;
-  }
-  if (!ScalarLeq(dominator.cap, victim.cap, options.CapEps())) return false;
-  if (!ScalarLeq(dominator.stage_span_um, victim.stage_span_um, 1e-6)) {
-    return false;
-  }
-  if (!ScalarLeq(dominator.stage_diam_um, victim.stage_diam_um, 1e-6)) {
-    return false;
-  }
-  if (!ScalarLeq(dominator.sink_delay, victim.sink_delay,
-                 options.DelayEps())) {
-    return false;
-  }
-  if (dominator.valid.Empty()) return false;
-
-  const double delay_eps = options.DelayEps();
-  IntervalSet region = dominator.arr.RegionLessEqual(victim.arr, delay_eps)
-                           .Intersect(dominator.diam.RegionLessEqual(
-                               victim.diam, delay_eps))
-                           .Intersect(dominator.valid);
-  if (region.Empty()) return false;
-  victim.valid = victim.valid.Subtract(region);
-  if (!victim.valid.Empty()) {
-    if (stats) ++stats->pruned_partial;
-    return false;
-  }
-  return true;
-}
-
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
                        MfsStats* stats) {
-  if (stats) {
-    ++stats->calls;
-    stats->candidates_in += set.size();
-  }
+  MSN_CHECK_MSG(options.base_case >= 1,
+                "MfsOptions::base_case must be at least 1");
+  MfsStats local;
+  MfsStats& counts = stats != nullptr ? *stats : local;
+  ++counts.calls;
+  counts.candidates_in += set.size();
 
   std::erase_if(set,
                 [](const SolutionPtr& s) { return !s || s->valid.Empty(); });
-  if (options.mode == MfsOptions::Mode::kOff || set.size() < 2) {
-    SortByCostCap(set);
-  } else {
-    // Sorting by (cost, cap) first puts likely dominators early, making
-    // the divide-and-conquer discard suboptimal solutions deep in the
-    // recursion (the paper's Section V implementation note).
-    SortByCostCap(set);
+  // Sorting by (cost, cap) first puts likely dominators early, making the
+  // divide-and-conquer discard suboptimal solutions deep in the recursion
+  // (the paper's Section V implementation note).
+  SortByCostCap(set);
+  if (options.mode != MfsOptions::Mode::kOff && set.size() >= 2) {
+    DominanceSweep sweep(set, options, counts);
     if (options.mode == MfsOptions::Mode::kQuadratic) {
-      PairwisePrune(set, options, stats);
-      Compact(set);
+      sweep.Pairwise(0, set.size());
     } else {
-      MfsRecurse(set, options, stats);
+      sweep.Recurse(0, set.size());
     }
+    sweep.Compact();
     SortByCostCap(set);
   }
 
-  if (stats) stats->candidates_out += set.size();
+  counts.candidates_out += set.size();
   return set;
 }
 

@@ -14,6 +14,17 @@
 //   kDivideConquer — Fig. 4: split, recurse, cross-prune the survivors,
 //                    targeting fewer pairwise comparisons in practice with
 //                    the same O(n²) worst case.
+//
+// Both pruning modes run over index ranges of the one (cost, cap)-sorted
+// array: a pruned slot is marked dead in place and the dead slots are
+// dropped once, at the end.  The scalars of every slot are packed into a
+// key column when the call starts; the pair loops test those keys first
+// and touch a solution only when all scalars pass.  Only then is the
+// region computed: linear interval merges into buffers that the call owns
+// and reuses, so in steady state no dominance test allocates.  A test
+// stops early when the two valid regions are disjoint or when the arrival
+// region is empty, and a victim's `valid` is rewritten, in its own
+// storage, only when it actually shrinks.
 #ifndef MSN_CORE_MFS_H
 #define MSN_CORE_MFS_H
 
@@ -39,7 +50,8 @@ struct MfsOptions {
   double cost_eps = 0.0;
   double cap_eps = 0.0;    ///< pF.
   double delay_eps = 0.0;  ///< ps; applies to sink_delay, arr and diam.
-  /// Divide-and-conquer recursion switches to all-pairs below this size.
+  /// Divide-and-conquer recursion switches to all-pairs at this size and
+  /// below.  Must be at least 1 (checked by ComputeMfs).
   std::size_t base_case = 8;
 
   double CostEps() const { return cost_eps > 0.0 ? cost_eps : eps; }
@@ -72,24 +84,19 @@ struct MfsStats {
   /// ever be skipped.
   std::size_t predictive_skipped = 0;
   std::size_t pruned = 0;       ///< Solutions fully invalidated.
-  std::size_t pruned_partial = 0;  ///< Partial-domain prunes (valid shrank
-                                   ///< without emptying).
+  /// Partial-domain prunes: tests after which the victim's valid region
+  /// is smaller but not empty.  A test whose region misses the victim's
+  /// valid region removes nothing and is not counted.
+  std::size_t pruned_partial = 0;
 };
 
 /// Prunes `set` to (a superset of) its minimal functional subset.
 /// Solutions whose valid region empties are removed; others may come back
 /// with a reduced `valid`.  Order of survivors: sorted by (cost, cap).
-/// A non-null `stats` accumulates this call's work counters.
+/// A non-null `stats` accumulates this call's work counters.  Throws
+/// CheckError when `options.base_case` is 0.
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
                        MfsStats* stats = nullptr);
-
-/// Single dominance test: shrinks victim->valid by the region where
-/// `dominator` (on its own valid region) is no worse in all five
-/// dimensions (up to the per-dimension slacks).  Returns true if the
-/// victim became fully invalid; partial-domain prunes are counted into
-/// `stats` when given.
-bool PruneByDominance(const MsriSolution& dominator, MsriSolution& victim,
-                      const MfsOptions& options, MfsStats* stats = nullptr);
 
 }  // namespace msn
 

@@ -180,9 +180,14 @@ Pwl Pwl::Max(const Pwl& f, const Pwl& g) {
   return out;
 }
 
-IntervalSet Pwl::RegionLessEqual(const Pwl& g, double eps) const {
-  if (IsNegInf()) return IntervalSet::NonNegativeReals();
-  if (g.IsNegInf()) return IntervalSet();
+void Pwl::RegionLessEqual(const Pwl& g, double eps,
+                          std::vector<Interval>& out) const {
+  out.clear();
+  if (IsNegInf()) {
+    out.push_back({0.0, kInf});
+    return;
+  }
+  if (g.IsNegInf()) return;
 
   const std::size_t nf = store_.Size();
   const std::size_t ng = g.store_.Size();
@@ -193,7 +198,19 @@ IntervalSet Pwl::RegionLessEqual(const Pwl& g, double eps) const {
   const double* gb = g.store_.Intercept();
   const double* gm = g.store_.Slope();
 
-  std::vector<Interval> where;
+  // Each window [a, b) yields at most one piece inside it, and windows
+  // move left to right, so the pieces arrive sorted and can only touch
+  // the previous one at a window boundary: merging on touch is all the
+  // canonical form needs.
+  const auto emit = [&out](double lo, double hi) {
+    if (!(lo < hi)) return;
+    if (!out.empty() && lo <= out.back().hi) {
+      out.back().hi = std::max(out.back().hi, hi);
+    } else {
+      out.push_back({lo, hi});
+    }
+  };
+
   // Same two-pointer sweep as Max; the region endpoints must stay exactly
   // the crossover coordinates dominance pruning computed before the SoA
   // rework, so no merge epsilon is applied here.
@@ -209,17 +226,13 @@ IntervalSet Pwl::RegionLessEqual(const Pwl& g, double eps) const {
     const double di = fb[i] - gb[j] - eps;
     const double ds = fm[i] - gm[j];
     if (ds == 0.0) {
-      if (di <= 0.0) where.push_back({a, b});
+      if (di <= 0.0) emit(a, b);
     } else {
       const double xc = -di / ds;
       if (ds > 0.0) {
-        // Satisfied for x <= xc.
-        const double hi = std::min(b, xc);
-        if (a < hi) where.push_back({a, hi});
+        emit(a, std::min(b, xc));  // Satisfied for x <= xc.
       } else {
-        // Satisfied for x >= xc.
-        const double lo = std::max(a, xc);
-        if (lo < b) where.push_back({lo, b});
+        emit(std::max(a, xc), b);  // Satisfied for x >= xc.
       }
     }
 
@@ -228,7 +241,6 @@ IntervalSet Pwl::RegionLessEqual(const Pwl& g, double eps) const {
     if (next_f == b) ++i;
     if (next_g == b) ++j;
   }
-  return IntervalSet(std::move(where));
 }
 
 bool Pwl::IsConvexNonDecreasing(double eps) const {

@@ -16,7 +16,10 @@
 //                function after the external world gains delta pF).
 // All run in time linear in the number of participating segments: Max and
 // RegionLessEqual walk both inputs with two pointers instead of
-// binary-searching per merged breakpoint.
+// binary-searching per merged breakpoint.  RegionLessEqual, the MFS
+// dominance test's region, writes canonical intervals into a buffer the
+// caller owns and reuses, so it neither allocates in steady state nor
+// sorts.
 //
 // Storage is a flat structure-of-arrays arena (PwlStore, pwl_arena.h):
 // the x_lo / intercept / slope coordinates live in three contiguous
@@ -33,6 +36,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <vector>
 
 #include "common/interval_set.h"
 #include "common/numeric.h"
@@ -98,9 +102,14 @@ class Pwl {
   /// Pointwise maximum.
   static Pwl Max(const Pwl& f, const Pwl& g);
 
-  /// {x >= 0 : f(x) <= g(x) + eps}.  A bottom f yields [0, inf); a bottom
-  /// g (with f not bottom) yields the empty set.
-  IntervalSet RegionLessEqual(const Pwl& g, double eps = 0.0) const;
+  /// Writes {x >= 0 : f(x) <= g(x) + eps} into `out` (cleared first) as
+  /// canonical IntervalSet intervals: sorted, disjoint, non-adjacent.  A
+  /// bottom f yields [0, inf); a bottom g (with f not bottom) yields the
+  /// empty set.  The sweep emits pieces left to right and merges each into
+  /// the previous one it touches, so nothing is sorted, and a reused `out`
+  /// allocates only when it outgrows its capacity.
+  void RegionLessEqual(const Pwl& g, double eps,
+                       std::vector<Interval>& out) const;
 
   /// True iff slopes are non-decreasing and the function is continuous —
   /// the invariant the repeater-insertion DP maintains (used in tests).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.h"
 #include "common/numeric.h"
 
@@ -131,6 +133,31 @@ TEST(IntervalSet, SubtractFromUnbounded) {
   EXPECT_FALSE(d.Contains(2.5));
   EXPECT_TRUE(d.Contains(3.0));
   EXPECT_TRUE(d.Contains(1e12));
+}
+
+TEST(IntervalSet, SubtractInPlaceRewritesOnlyWhenItShrinks) {
+  IntervalSet a(0.0, 10.0);
+  std::vector<Interval> scratch = {{50.0, 60.0}};  // stale content
+  const std::vector<Interval> miss = {{10.0, 20.0}};
+  EXPECT_FALSE(a.SubtractInPlace(miss, scratch));
+  EXPECT_EQ(a, IntervalSet(0.0, 10.0));
+  const std::vector<Interval> holes = {{2.0, 3.0}, {9.0, 12.0}};
+  EXPECT_TRUE(a.SubtractInPlace(holes, scratch));
+  EXPECT_EQ(a, IntervalSet(std::vector<Interval>{Interval{0.0, 2.0},
+                                                 Interval{3.0, 9.0}}));
+  const std::vector<Interval> all = {{0.0, kInf}};
+  EXPECT_TRUE(a.SubtractInPlace(all, scratch));
+  EXPECT_TRUE(a.Empty());
+}
+
+TEST(IntervalSet, IntersectIntoReplacesBufferContent) {
+  std::vector<Interval> out = {{50.0, 60.0}};  // stale content
+  const IntervalSet a(std::vector<Interval>{Interval{0.0, 2.0},
+                                            Interval{4.0, 8.0}});
+  IntersectInto(a.Intervals(), IntervalSet(1.0, 5.0).Intervals(), out);
+  EXPECT_EQ(out, (std::vector<Interval>{{1.0, 2.0}, {4.0, 5.0}}));
+  IntersectInto(a.Intervals(), IntervalSet(2.0, 4.0).Intervals(), out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(IntervalSet, ShiftPositive) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace msn {
@@ -148,6 +152,44 @@ TEST(Mfs, CrossPruneSkipsNulledSlotsRegression) {
   EXPECT_EQ(ComputeMfs(build(), Quadratic()).size(), 2u);
 }
 
+TEST(Mfs, PartialPruneCountsOnlyRealShrinkage) {
+  // The dominator (cost 1) is no worse than each victim (cost 2) wherever
+  // its arrival line lies below the victim's; the victims' valid regions
+  // decide whether that region removes anything.
+  const auto run = [](IntervalSet dom_valid, IntervalSet victim_valid) {
+    SolutionSet set;
+    set.push_back(Make(1.0, 1.0, 0.0, Pwl::Constant(5.0), Pwl::NegInf()));
+    set.push_back(Make(2.0, 2.0, 0.0, Pwl::Line(0.0, 1.0), Pwl::NegInf()));
+    set[0]->valid = std::move(dom_valid);
+    set[1]->valid = std::move(victim_valid);
+    MfsStats stats;
+    const SolutionSet out = ComputeMfs(set, Quadratic(), &stats);
+    EXPECT_EQ(out.size(), 2u);
+    EXPECT_EQ(stats.comparisons, 1u);  // the reverse test is skipped
+    return std::pair(stats.pruned_partial, set[1]->valid);
+  };
+  // The region [5, inf) lies outside the victim's [0, 2): nothing shrinks.
+  EXPECT_EQ(run(IntervalSet::NonNegativeReals(), IntervalSet(0.0, 2.0)),
+            std::pair(std::size_t{0}, IntervalSet(0.0, 2.0)));
+  // The two valid regions are disjoint: nothing shrinks.
+  EXPECT_EQ(run(IntervalSet(6.0, kInf), IntervalSet(0.0, 2.0)),
+            std::pair(std::size_t{0}, IntervalSet(0.0, 2.0)));
+  // The region cuts [0, 10) down to [0, 6): one real partial prune.
+  EXPECT_EQ(run(IntervalSet(6.0, kInf), IntervalSet(0.0, 10.0)),
+            std::pair(std::size_t{1}, IntervalSet(0.0, 6.0)));
+}
+
+TEST(Mfs, ZeroBaseCaseIsRejected) {
+  // A base case of 0 would never stop splitting a one-solution half.
+  SolutionSet set;
+  set.push_back(Make(1.0, 1.0, 0.0, Pwl::Constant(1.0), Pwl::NegInf()));
+  set.push_back(Make(2.0, 2.0, 0.0, Pwl::Constant(2.0), Pwl::NegInf()));
+  MfsOptions dc;
+  dc.mode = MfsOptions::Mode::kDivideConquer;
+  dc.base_case = 0;
+  EXPECT_THROW(ComputeMfs(set, dc), CheckError);
+}
+
 /// Asserts Definition 4.3 minimality: at no sampled external capacitance
 /// is one survivor strictly better than another (beyond `margin`) in all
 /// five dimensions while both claim validity there.  A violation means a
@@ -156,7 +198,11 @@ void ExpectMinimal(const SolutionSet& set, const std::vector<double>& xs,
                    double margin) {
   for (const SolutionPtr& a : set) {
     for (const SolutionPtr& b : set) {
-      if (a == b) continue;
+      if (a == b || a->parity != b->parity) continue;
+      if (a->stage_span_um > b->stage_span_um ||
+          a->stage_diam_um > b->stage_diam_um) {
+        continue;
+      }
       for (const double x : xs) {
         if (!a->valid.Contains(x) || !b->valid.Contains(x)) continue;
         const bool strictly_dominated =
@@ -186,6 +232,62 @@ SolutionSet RandomSet(Rng& rng, int n) {
   return set;
 }
 
+/// A line with a random intercept and slope.
+Pwl RandomLine(Rng& rng, double max_intercept) {
+  return Pwl::Line(rng.UniformReal(0.0, max_intercept),
+                   rng.UniformReal(0.0, 30.0));
+}
+
+/// Bottom with probability `bottom_p`, else the maximum of 2-3 random
+/// lines (a convex PWL of up to three segments).
+Pwl RandomMultiSegment(Rng& rng, double max_intercept, double bottom_p) {
+  if (rng.Chance(bottom_p)) return Pwl::NegInf();
+  Pwl f = Pwl::Max(RandomLine(rng, max_intercept),
+                   RandomLine(rng, max_intercept));
+  if (rng.Chance(0.5)) f = Pwl::Max(f, RandomLine(rng, max_intercept));
+  return f;
+}
+
+/// [0, inf), sometimes cut off at the right, minus 0-2 random holes.
+IntervalSet RandomValid(Rng& rng) {
+  IntervalSet valid = IntervalSet::NonNegativeReals();
+  if (rng.Chance(0.3)) valid = IntervalSet(0.0, rng.UniformReal(20.0, 60.0));
+  const std::int64_t holes = rng.UniformInt(0, 2);
+  for (std::int64_t h = 0; h < holes; ++h) {
+    const double lo = rng.UniformReal(0.0, 50.0);
+    valid = valid.Subtract(IntervalSet(lo, lo + rng.UniformReal(0.5, 10.0)));
+  }
+  return valid;
+}
+
+/// Solutions with multi-segment or bottom PWLs, mixed parity, valid
+/// regions with holes, and costs/caps on a coarse grid so that ties and
+/// the eps band occur.  `detail` numbers the solutions in input order.
+SolutionSet RichRandomSet(Rng& rng, int n) {
+  SolutionSet set;
+  for (int i = 0; i < n; ++i) {
+    const double cost = std::floor(rng.UniformReal(0.0, 16.0)) / 4.0;
+    const double cap = std::floor(rng.UniformReal(0.0, 8.0)) / 4.0;
+    SolutionPtr s = Make(cost, cap, rng.UniformReal(0.0, 100.0),
+                         RandomMultiSegment(rng, 200.0, 0.15),
+                         RandomMultiSegment(rng, 300.0, 0.25));
+    s->parity = rng.Chance(0.3) ? 1 : 0;
+    if (rng.Chance(0.2)) s->stage_span_um = rng.UniformReal(0.0, 100.0);
+    s->valid = RandomValid(rng);
+    s->detail = static_cast<std::size_t>(i);
+    set.push_back(std::move(s));
+  }
+  return set;
+}
+
+SolutionSet DeepCopy(const SolutionSet& set) {
+  SolutionSet copy;
+  for (const SolutionPtr& s : set) {
+    copy.push_back(std::make_shared<MsriSolution>(*s));
+  }
+  return copy;
+}
+
 class MfsMinimality : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MfsMinimality, NoSurvivorDominatedAtSampledLoads) {
@@ -196,14 +298,10 @@ TEST_P(MfsMinimality, NoSurvivorDominatedAtSampledLoads) {
 
   for (const MfsOptions::Mode mode :
        {MfsOptions::Mode::kQuadratic, MfsOptions::Mode::kDivideConquer}) {
-    SolutionSet copy;
-    for (const SolutionPtr& s : set) {
-      copy.push_back(std::make_shared<MsriSolution>(*s));
-    }
     MfsOptions options;
     options.mode = mode;
     MfsStats stats;
-    const SolutionSet out = ComputeMfs(std::move(copy), options, &stats);
+    const SolutionSet out = ComputeMfs(DeepCopy(set), options, &stats);
     ExpectMinimal(out, xs, 1e-6);
     // The predictive skip only ever avoids tests the sort already
     // decided; its mirror-pair bound must hold structurally.
@@ -212,50 +310,52 @@ TEST_P(MfsMinimality, NoSurvivorDominatedAtSampledLoads) {
   }
 }
 
-/// PairwisePrune (kQuadratic) and MfsRecurse (kDivideConquer) must agree:
+/// The all-pairs mode (kQuadratic) and the recursion (kDivideConquer) agree:
 /// identical pointwise-achievable frontier at sampled loads, each mode's
 /// survivors covered by the other's, and both minimal.
 TEST_P(MfsMinimality, PairwiseAndRecurseEquivalent) {
   Rng rng(GetParam() + 1000);
-  const SolutionSet set = RandomSet(rng, 40);
-  SolutionSet s1;
-  SolutionSet s2;
-  for (const SolutionPtr& s : set) {
-    s1.push_back(std::make_shared<MsriSolution>(*s));
-    s2.push_back(std::make_shared<MsriSolution>(*s));
-  }
-  MfsOptions quad = Quadratic();
-  MfsOptions dc;
-  dc.mode = MfsOptions::Mode::kDivideConquer;
-  dc.base_case = 4;  // Deep recursion: many cross-prune passes.
-  const SolutionSet a = ComputeMfs(std::move(s1), quad);
-  const SolutionSet b = ComputeMfs(std::move(s2), dc);
+  // Single-line PWLs on [0, inf), then the multi-segment generator.
+  const SolutionSet single = RandomSet(rng, 40);
+  Rng rich_rng(GetParam() + 3000);
+  const SolutionSet rich = RichRandomSet(rich_rng, 40);
+  for (const SolutionSet* set : {&single, &rich}) {
+    MfsOptions quad = Quadratic();
+    MfsOptions dc;
+    dc.mode = MfsOptions::Mode::kDivideConquer;
+    dc.base_case = 4;  // Deep recursion: many cross-prune passes.
+    const SolutionSet a = ComputeMfs(DeepCopy(*set), quad);
+    const SolutionSet b = ComputeMfs(DeepCopy(*set), dc);
 
-  std::vector<double> xs;
-  for (int i = 0; i < 32; ++i) xs.push_back(rng.UniformReal(0.0, 60.0));
-  ExpectMinimal(a, xs, 1e-6);
-  ExpectMinimal(b, xs, 1e-6);
-  auto covered = [](const SolutionSet& by, const MsriSolution& s, double x) {
-    for (const SolutionPtr& k : by) {
-      if (!k->valid.Contains(x)) continue;
-      if (k->cost <= s.cost + 1e-6 && k->cap <= s.cap + 1e-6 &&
-          k->sink_delay <= s.sink_delay + 1e-6 &&
-          k->arr.Eval(x) <= s.arr.Eval(x) + 1e-6 &&
-          k->diam.Eval(x) <= s.diam.Eval(x) + 1e-6) {
-        return true;
+    std::vector<double> xs;
+    for (int i = 0; i < 32; ++i) xs.push_back(rng.UniformReal(0.0, 60.0));
+    ExpectMinimal(a, xs, 1e-6);
+    ExpectMinimal(b, xs, 1e-6);
+    auto covered = [](const SolutionSet& by, const MsriSolution& s,
+                      double x) {
+      for (const SolutionPtr& k : by) {
+        if (!k->valid.Contains(x) || k->parity != s.parity) continue;
+        if (k->cost <= s.cost + 1e-6 && k->cap <= s.cap + 1e-6 &&
+            k->sink_delay <= s.sink_delay + 1e-6 &&
+            k->stage_span_um <= s.stage_span_um + 1e-6 &&
+            k->stage_diam_um <= s.stage_diam_um + 1e-6 &&
+            k->arr.Eval(x) <= s.arr.Eval(x) + 1e-6 &&
+            k->diam.Eval(x) <= s.diam.Eval(x) + 1e-6) {
+          return true;
+        }
       }
-    }
-    return false;
-  };
-  for (const double x : xs) {
-    for (const SolutionPtr& s : a) {
-      if (s->valid.Contains(x)) {
-        EXPECT_TRUE(covered(b, *s, x)) << "x=" << x;
+      return false;
+    };
+    for (const double x : xs) {
+      for (const SolutionPtr& s : a) {
+        if (s->valid.Contains(x)) {
+          EXPECT_TRUE(covered(b, *s, x)) << "x=" << x;
+        }
       }
-    }
-    for (const SolutionPtr& s : b) {
-      if (s->valid.Contains(x)) {
-        EXPECT_TRUE(covered(a, *s, x)) << "x=" << x;
+      for (const SolutionPtr& s : b) {
+        if (s->valid.Contains(x)) {
+          EXPECT_TRUE(covered(a, *s, x)) << "x=" << x;
+        }
       }
     }
   }
@@ -263,6 +363,109 @@ TEST_P(MfsMinimality, PairwiseAndRecurseEquivalent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MfsMinimality,
                          ::testing::Range<std::uint64_t>(1, 16));
+
+/// One dominance test written with plain IntervalSet algebra: no early
+/// exit, no buffers, whole-set comparison.  pruned_partial counts only a
+/// victim whose valid region really shrank.
+bool ReferencePrune(const MsriSolution& d, MsriSolution& v,
+                    const MfsOptions& o, MfsStats& stats) {
+  if (v.valid.Empty()) return true;
+  if (&d == &v) return false;
+  if (d.parity != v.parity) return false;
+  if (!(d.cost <= v.cost + o.CostEps())) return false;
+  if (!(d.cap <= v.cap + o.CapEps())) return false;
+  if (!(d.stage_span_um <= v.stage_span_um + 1e-6)) return false;
+  if (!(d.stage_diam_um <= v.stage_diam_um + 1e-6)) return false;
+  if (!(d.sink_delay <= v.sink_delay + o.DelayEps())) return false;
+  if (d.valid.Empty()) return false;
+  std::vector<Interval> arr;
+  std::vector<Interval> diam;
+  d.arr.RegionLessEqual(v.arr, o.DelayEps(), arr);
+  d.diam.RegionLessEqual(v.diam, o.DelayEps(), diam);
+  const IntervalSet region =
+      IntervalSet(arr).Intersect(IntervalSet(diam)).Intersect(d.valid);
+  const IntervalSet rest = v.valid.Subtract(region);
+  if (rest == v.valid) return false;
+  v.valid = rest;
+  if (rest.Empty()) return true;
+  ++stats.pruned_partial;
+  return false;
+}
+
+/// The all-pairs mode as a plain loop over a (cost, cap)-sorted copy:
+/// dead entries become nullptr, every counter is counted where the test
+/// runs or is skipped.
+SolutionSet ReferenceQuadratic(SolutionSet set, const MfsOptions& o,
+                               MfsStats& stats) {
+  ++stats.calls;
+  stats.candidates_in += set.size();
+  std::erase_if(set,
+                [](const SolutionPtr& s) { return !s || s->valid.Empty(); });
+  const auto by_cost_cap = [](const SolutionPtr& a, const SolutionPtr& b) {
+    if (a->cost != b->cost) return a->cost < b->cost;
+    return a->cap < b->cap;
+  };
+  std::sort(set.begin(), set.end(), by_cost_cap);
+  if (set.size() >= 2) {
+    const std::size_t n = set.size();
+    std::vector<double> cost(n);
+    for (std::size_t i = 0; i < n; ++i) cost[i] = set[i]->cost;
+    std::size_t lo = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      while (lo < n && cost[lo] < cost[i] - o.CostEps()) ++lo;
+      if (!set[i]) continue;
+      for (std::size_t j = 0; j < lo; ++j) {
+        if (set[j]) ++stats.predictive_skipped;
+      }
+      for (std::size_t j = lo; j < n; ++j) {
+        if (i == j || !set[j]) continue;
+        ++stats.comparisons;
+        if (ReferencePrune(*set[i], *set[j], o, stats)) {
+          ++stats.pruned;
+          set[j] = nullptr;
+        }
+      }
+    }
+    std::erase_if(set, [](const SolutionPtr& s) { return s == nullptr; });
+    std::sort(set.begin(), set.end(), by_cost_cap);
+  }
+  stats.candidates_out += set.size();
+  return set;
+}
+
+class MfsReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// The quadratic mode matches the reference bit for bit: the same
+/// survivors in the same order, the same valid endpoints, the same
+/// counters.
+TEST_P(MfsReference, QuadraticMatchesIntervalSetReference) {
+  Rng rng(GetParam() + 2000);
+  const SolutionSet set = RichRandomSet(rng, 64);
+  MfsStats got_stats;
+  MfsStats want_stats;
+  const SolutionSet got = ComputeMfs(DeepCopy(set), Quadratic(), &got_stats);
+  const SolutionSet want =
+      ReferenceQuadratic(DeepCopy(set), Quadratic(), want_stats);
+
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k]->detail, want[k]->detail) << "survivor " << k;
+    EXPECT_EQ(got[k]->valid, want[k]->valid) << "survivor " << k;
+  }
+  EXPECT_EQ(got_stats.calls, want_stats.calls);
+  EXPECT_EQ(got_stats.candidates_in, want_stats.candidates_in);
+  EXPECT_EQ(got_stats.candidates_out, want_stats.candidates_out);
+  EXPECT_EQ(got_stats.comparisons, want_stats.comparisons);
+  EXPECT_EQ(got_stats.predictive_skipped, want_stats.predictive_skipped);
+  EXPECT_EQ(got_stats.pruned, want_stats.pruned);
+  EXPECT_EQ(got_stats.pruned_partial, want_stats.pruned_partial);
+  // The generator reaches every outcome the kernel distinguishes.
+  EXPECT_GT(want_stats.pruned, 0u);
+  EXPECT_GT(want_stats.pruned_partial, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MfsReference,
+                         ::testing::Range<std::uint64_t>(1, 13));
 
 /// Divide-and-conquer agrees with quadratic pruning on the surviving
 /// frontier (same minimal cover, possibly different tie-breaks — we check
@@ -281,17 +484,12 @@ TEST_P(MfsModeAgreement, SameCoverage) {
                        Pwl::Line(rng.UniformReal(0.0, 300.0),
                                  rng.UniformReal(0.0, 30.0))));
   }
-  // Deep-copy for the second mode (ComputeMfs mutates valid regions).
-  SolutionSet set2;
-  for (const SolutionPtr& s : set) {
-    set2.push_back(std::make_shared<MsriSolution>(*s));
-  }
-
   MfsOptions quad = Quadratic();
   MfsOptions dc;
   dc.mode = MfsOptions::Mode::kDivideConquer;
-  const SolutionSet a = ComputeMfs(set, quad);
-  const SolutionSet b = ComputeMfs(set2, dc);
+  // Each mode gets its own copy: ComputeMfs mutates valid regions.
+  const SolutionSet a = ComputeMfs(DeepCopy(set), quad);
+  const SolutionSet b = ComputeMfs(DeepCopy(set), dc);
 
   // For sampled x, every solution valid at x in one survivor set must be
   // matched (in all 5 dims, up to eps) by some valid solution in the other.

@@ -4,12 +4,24 @@
 
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 
 namespace msn {
 namespace {
+
+/// f.RegionLessEqual(g, eps) as a set.  Also checks that the raw output
+/// is already canonical: rebuilding it through the sorting constructor
+/// must not change it.
+IntervalSet Region(const Pwl& f, const Pwl& g, double eps = 0.0) {
+  std::vector<Interval> out = {{7.0, 8.0}};  // stale content is cleared
+  f.RegionLessEqual(g, eps, out);
+  const IntervalSet set(out);
+  EXPECT_EQ(set.Intervals(), out) << "RegionLessEqual output not canonical";
+  return set;
+}
 
 TEST(Pwl, DefaultIsNegInf) {
   Pwl f;
@@ -121,39 +133,47 @@ TEST(Pwl, MaxThreeWayCriticalSourceSwap) {
 TEST(Pwl, RegionLessEqualConstant) {
   const Pwl f = Pwl::Constant(5.0);
   const Pwl g = Pwl::Constant(7.0);
-  EXPECT_EQ(f.RegionLessEqual(g), IntervalSet::NonNegativeReals());
-  EXPECT_TRUE(g.RegionLessEqual(f).Empty());
+  EXPECT_EQ(Region(f, g), IntervalSet::NonNegativeReals());
+  EXPECT_TRUE(Region(g, f).Empty());
 }
 
 TEST(Pwl, RegionLessEqualCrossing) {
   // f = 10, g = 2x: f <= g for x >= 5.
   const Pwl f = Pwl::Constant(10.0);
   const Pwl g = Pwl::Line(0.0, 2.0);
-  const IntervalSet r = f.RegionLessEqual(g);
+  const IntervalSet r = Region(f, g);
   EXPECT_FALSE(r.Contains(4.9));
   EXPECT_TRUE(r.Contains(5.0));
   EXPECT_TRUE(r.Contains(1e9));
   // The mirrored region is half-open at the crossing ([0, 5)): losing the
   // single boundary point only makes MFS pruning slightly conservative.
-  const IntervalSet r2 = g.RegionLessEqual(f);
+  const IntervalSet r2 = Region(g, f);
   EXPECT_TRUE(r2.Contains(0.0));
   EXPECT_TRUE(r2.Contains(4.999));
   EXPECT_FALSE(r2.Contains(5.1));
 }
 
+TEST(Pwl, RegionLessEqualMergesAcrossBreakpoints) {
+  // f = max(x, 5) has a breakpoint at 5; f <= 10 holds on both of its
+  // segments, and the two pieces come out as one interval [0, 10).
+  const Pwl f = Pwl::Max(Pwl::Line(0.0, 1.0), Pwl::Constant(5.0));
+  ASSERT_EQ(f.NumSegments(), 2u);
+  EXPECT_EQ(Region(f, Pwl::Constant(10.0)), IntervalSet(0.0, 10.0));
+}
+
 TEST(Pwl, RegionLessEqualWithBottom) {
   const Pwl f;
   const Pwl g = Pwl::Constant(0.0);
-  EXPECT_EQ(f.RegionLessEqual(g), IntervalSet::NonNegativeReals());
-  EXPECT_TRUE(g.RegionLessEqual(f).Empty());
-  EXPECT_EQ(f.RegionLessEqual(f), IntervalSet::NonNegativeReals());
+  EXPECT_EQ(Region(f, g), IntervalSet::NonNegativeReals());
+  EXPECT_TRUE(Region(g, f).Empty());
+  EXPECT_EQ(Region(f, f), IntervalSet::NonNegativeReals());
 }
 
 TEST(Pwl, RegionLessEqualEps) {
   const Pwl f = Pwl::Constant(5.0);
   const Pwl g = Pwl::Constant(4.9999999);
-  EXPECT_TRUE(f.RegionLessEqual(g, 1e-3).Contains(1.0));
-  EXPECT_TRUE(f.RegionLessEqual(g, 0.0).Empty());
+  EXPECT_TRUE(Region(f, g, 1e-3).Contains(1.0));
+  EXPECT_TRUE(Region(f, g, 0.0).Empty());
 }
 
 TEST(Pwl, EpsilonCloseBreakpointsDoNotInflateSegments) {
@@ -281,7 +301,7 @@ TEST_P(PwlRandomProperty, RegionLessEqualMatchesPointwise) {
   Rng rng(GetParam());
   const Pwl f = RandomConvex(rng);
   const Pwl g = RandomConvex(rng);
-  const IntervalSet region = f.RegionLessEqual(g, 1e-12);
+  const IntervalSet region = Region(f, g, 1e-12);
   for (int i = 0; i < 200; ++i) {
     const double x = rng.UniformReal(0.0, 60.0);
     const bool leq = f.Eval(x) <= g.Eval(x) + 1e-9;

@@ -89,7 +89,7 @@ foreach(entry
     counters:mfs.comparisons=3746818
     counters:mfs.predictive_skipped=2747445
     counters:mfs.pruned_full=5587
-    counters:mfs.pruned_partial=52320
+    counters:mfs.pruned_partial=8900
     counters:msri.join_candidates=5629
     counters:msri.join_pruned_early=380
     counters:msri.solutions_generated=13831
