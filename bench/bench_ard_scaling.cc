@@ -85,34 +85,16 @@ int main(int argc, char** argv) {
 
   msn::TablePrinter t({"terminals", "linear (s)", "naive k-pass (s)",
                        "speedup"});
-  msn::bench::StatsTrajectory trajectory("bench_ard_scaling");
   for (const auto& [n, secs] : g_seconds) {
     t.AddRow({std::to_string(n), msn::TablePrinter::Num(secs.first, 6),
               msn::TablePrinter::Num(secs.second, 6),
               msn::TablePrinter::Num(secs.second /
                                          std::max(secs.first, 1e-9),
                                      1)});
-    if (trajectory.Enabled()) {
-      // One instrumented pass per cardinality: the three ARD pass timers
-      // plus the measured throughput numbers above.
-      msn::obs::RunStats run;
-      msn::obs::StatsSink sink(&run);
-      const msn::RcTree tree = BigNet(n);
-      const msn::RepeaterAssignment none(tree.NumNodes());
-      const msn::DriverAssignment drivers(tree.NumTerminals());
-      msn::ComputeArd(tree, none, drivers, Tech(), msn::kNoNode, &sink);
-      run.SetLabel("bench", "bench_ard_scaling");
-      run.SetValue("net.terminals", static_cast<double>(n));
-      run.SetValue("linear_s", secs.first);
-      run.SetValue("naive_s", secs.second);
-      run.SetValue("speedup", secs.second / std::max(secs.first, 1e-9));
-      trajectory.Add(run);
-    }
   }
   std::cout << '\n';
   t.Print(std::cout);
   std::cout << "\nexpected shape: the speedup grows roughly linearly with"
                " the terminal count (k = n sources).\n";
-  trajectory.Write();
   return 0;
 }

@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   std::cout << "=== Batch engine thread scaling: " << nets << " nets x "
             << terminals << " terminals ===\n\n";
 
-  msn::bench::StatsTrajectory trajectory("bench_batch_scaling");
   TablePrinter t({"jobs", "wall (s)", "speedup", "efficiency"});
 
   double base_s = 0.0;
@@ -81,7 +80,6 @@ int main(int argc, char** argv) {
   for (std::size_t j = 1; j <= max_jobs; j *= 2) {
     msn::runtime::BatchOptions opt;
     opt.jobs = j;
-    opt.collect_stats = trajectory.Enabled();
     msn::runtime::BatchResult batch;
     const double secs = msn::bench::TimeSeconds(
         [&] { batch = msn::runtime::OptimizeBatch(jobs, tech, opt); });
@@ -99,13 +97,6 @@ int main(int argc, char** argv) {
     t.AddRow({std::to_string(j), TablePrinter::Num(secs, 4),
               TablePrinter::Num(speedup, 2),
               TablePrinter::Num(speedup / static_cast<double>(j), 2)});
-    if (trajectory.Enabled()) {
-      msn::obs::RunStats run = batch.aggregate;
-      run.SetLabel("bench", "bench_batch_scaling");
-      run.SetValue("wall_s", secs);
-      run.SetValue("speedup", speedup);
-      trajectory.Add(run);
-    }
   }
 
   t.Print(std::cout);
@@ -113,6 +104,5 @@ int main(int argc, char** argv) {
             << (deterministic ? "ok (byte-identical)" : "VIOLATED") << '\n'
             << "expected shape: speedup ~ min(jobs, cores) until the"
                " slowest net dominates.\n";
-  trajectory.Write();
   return deterministic ? 0 : 1;
 }

@@ -41,17 +41,11 @@ int main() {
   std::cout << "=== MFS pruning ablation (Section IV-D / Fig. 4) ===\n\n";
   TablePrinter t({"net", "pruning", "time (s)", "max set", "comparisons",
                   "pareto pts"});
-  msn::bench::StatsTrajectory trajectory("bench_mfs_ablation");
 
-  // One instrumented DP run per (net, pruning mode) row; the sink's own
-  // overhead is part of the measured time in every row equally.
   auto run_row = [&](const char* net_name, const msn::RcTree& net,
                      msn::MfsOptions::Mode mode) {
-    msn::obs::RunStats run;
-    msn::obs::StatsSink sink(&run);
     msn::MsriOptions opt;
     opt.mfs.mode = mode;
-    if (trajectory.Enabled()) opt.stats = &sink;
     msn::MsriResult result;
     const double secs = msn::bench::TimeSeconds(
         [&] { result = msn::RunMsri(net, tech, opt); });
@@ -59,13 +53,6 @@ int main() {
               std::to_string(result.Stats().max_set_size),
               std::to_string(result.Stats().mfs.comparisons),
               std::to_string(result.Pareto().size())});
-    if (trajectory.Enabled()) {
-      run.SetLabel("bench", "bench_mfs_ablation");
-      run.SetLabel("net", net_name);
-      run.SetLabel("pruning", ModeName(mode));
-      run.SetValue("time_s", secs);
-      trajectory.Add(run);
-    }
   };
 
   const msn::RcTree tiny = TinyNet(tech);
@@ -84,7 +71,6 @@ int main() {
     run_row("10-pin", ten, mode);
   }
   t.Print(std::cout);
-  trajectory.Write();
   std::cout << "\nexpected shape: identical Pareto frontiers in all modes;"
                " pruning collapses the solution sets (tractability claim"
                " of Theorem 4.1's implementation).\n";

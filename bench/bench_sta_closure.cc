@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
   std::cout << "=== Timing-closure scaling: nets per design (jobs=" << jobs
             << ") ===\n\n";
 
-  msn::bench::StatsTrajectory trajectory("bench_sta_closure");
   TablePrinter t({"nets", "endpoints", "iters", "dp runs", "cache hits",
                   "wall (s)", "ms/net", "final slack (ps)"});
 
@@ -85,21 +84,10 @@ int main(int argc, char** argv) {
               TablePrinter::Num(secs, 4),
               TablePrinter::Num(1e3 * secs / static_cast<double>(nets), 3),
               TablePrinter::Num(result.final_worst_slack_ps, 1)});
-
-    if (trajectory.Enabled()) {
-      msn::obs::RunStats run = result.registry;
-      run.SetLabel("bench", "bench_sta_closure");
-      run.SetValue("wall_s", secs);
-      run.SetValue("design.nets", static_cast<double>(nets));
-      run.SetValue("design.endpoints",
-                   static_cast<double>(result.endpoint_slacks.size()));
-      trajectory.Add(run);
-    }
   }
 
   t.Print(std::cout);
   std::cout << "\nexpected shape: wall time ~ linear in failing nets;"
                " cache hits absorb re-selected nets after iteration 1.\n";
-  trajectory.Write();
   return 0;
 }

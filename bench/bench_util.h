@@ -4,17 +4,12 @@
 #define MSN_BENCH_BENCH_UTIL_H
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/msri.h"
 #include "netgen/netgen.h"
-#include "obs/stats.h"
 #include "tech/tech.h"
 
 namespace msn::bench {
@@ -54,55 +49,6 @@ double TimeSeconds(Fn&& fn) {
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
 }
-
-/// Machine-readable bench output (the BENCH_*.json trajectory files):
-/// collects one obs::RunStats snapshot per measured configuration and, when
-/// the MSN_STATS_JSON environment variable names a path, writes
-///
-///   {"schema": "msn-bench-stats-v1", "bench": "<name>",
-///    "runs": [<RunStats JSON>, ...]}
-///
-/// so results stay comparable across PRs (schema in docs/OBSERVABILITY.md).
-/// With the variable unset the collector is disabled and Add() is free.
-class StatsTrajectory {
- public:
-  explicit StatsTrajectory(std::string bench_name)
-      : bench_(std::move(bench_name)) {
-    const char* env = std::getenv("MSN_STATS_JSON");
-    if (env != nullptr && *env != '\0') path_ = env;
-  }
-
-  bool Enabled() const { return !path_.empty(); }
-
-  /// Snapshots `run` as the next element of the "runs" array.
-  void Add(const obs::RunStats& run) {
-    if (Enabled()) runs_.push_back(run.JsonString());
-  }
-
-  /// Writes the trajectory file; a no-op (returning false) when disabled.
-  bool Write() const {
-    if (!Enabled()) return false;
-    std::ofstream out(path_);
-    if (!out.good()) {
-      std::cerr << "MSN_STATS_JSON: cannot write '" << path_ << "'\n";
-      return false;
-    }
-    out << "{\"schema\":\"msn-bench-stats-v1\",\"bench\":\"" << bench_
-        << "\",\"runs\":[";
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      if (i > 0) out << ',';
-      out << runs_[i];
-    }
-    out << "]}\n";
-    std::cout << "wrote " << path_ << " (" << runs_.size() << " runs)\n";
-    return true;
-  }
-
- private:
-  std::string bench_;
-  std::string path_;
-  std::vector<std::string> runs_;
-};
 
 }  // namespace msn::bench
 

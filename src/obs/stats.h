@@ -12,8 +12,8 @@
 //      instruments once at construction, so the DP inner loops never touch
 //      the registry's string map.
 //   3. Stable, diffable output.  The registry is name-sorted; JSON keys and
-//      units never change meaning within a schema version, so BENCH_*.json
-//      trajectories stay comparable across PRs.
+//      units never change meaning within a schema version, so documents
+//      from different commits stay comparable.
 //
 // Everything here is single-threaded by design; nothing is atomic.  The
 // parallel batch engine (src/runtime) keeps that contract by giving every

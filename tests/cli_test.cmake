@@ -109,6 +109,22 @@ if(NOT out MATCHES "unknown flag")
   message(FATAL_ERROR "serve cost-gate flag not rejected: ${out}")
 endif()
 
+# A missing required argument is a usage error as well (usage text on
+# stderr, exit 2), never an internal check failure.
+function(expect_usage_error)
+  run_cli(2 out ${ARGN})
+  if(NOT out MATCHES "usage:" OR out MATCHES "MSN_CHECK")
+    message(FATAL_ERROR "msn_cli ${ARGN}: not a usage error: ${out}")
+  endif()
+endfunction()
+expect_usage_error(optimize)
+expect_usage_error(optimize --spec 900)
+expect_usage_error(ard)
+expect_usage_error(render)
+expect_usage_error(optimize-batch --jobs 2)
+expect_usage_error(gen -o x.msn)
+expect_usage_error(gen --terminals 4)
+
 # --- gen-design / close-timing (docs/STA.md) -------------------------
 
 # Generate a small design; the .msd and every referenced .msn appear.
@@ -152,6 +168,10 @@ if(NOT out MATCHES "unknown flag '--bogus-flag'" OR NOT out MATCHES "usage:")
 endif()
 run_cli(2 out gen-design --nets 2 --port 7 -o dx)  # valid elsewhere only
 run_cli(2 out gen-design --nets 2 -o dx extra-positional)
+expect_usage_error(gen-design -o dx)
+expect_usage_error(gen-design --nets 2)
+expect_usage_error(close-timing)
+expect_usage_error(close-timing d1/design.msd d2/design.msd)
 run_cli(1 out close-timing missing.msd)
 run_cli(1 out close-timing d1/design.msd --jobs 0)
 run_cli(1 out close-timing d1/design.msd --jobs abc)

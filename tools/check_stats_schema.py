@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Validates msn-run-stats-v1 / msn-bench-stats-v1 / msn-batch-stats-v1 /
-msn-service-stats-v3 / msn-sta-stats-v1 JSON files.
+"""Validates msn-run-stats-v1 / msn-batch-stats-v1 / msn-service-stats-v3 /
+msn-sta-stats-v1 JSON files.
 
 Usage:
     check_stats_schema.py STATS.json [STATS.json ...]
 
 Exit code 0 when every file conforms, 1 otherwise (first problem printed
 to stderr).  Pure stdlib; the schemas are documented in
-docs/OBSERVABILITY.md (run/bench/service) and docs/RUNTIME.md (batch).
+docs/OBSERVABILITY.md (run/service), docs/RUNTIME.md (batch) and
+docs/STA.md (sta).
 """
 import json
 import numbers
 import sys
 
 RUN_SCHEMA = "msn-run-stats-v1"
-BENCH_SCHEMA = "msn-bench-stats-v1"
-MERGED_BENCH_SCHEMA = "msn-bench-stats-v1-merged"
 BATCH_SCHEMA = "msn-batch-stats-v1"
 SERVICE_SCHEMA = "msn-service-stats-v3"
 STA_SCHEMA = "msn-sta-stats-v1"
@@ -98,8 +97,8 @@ def _check_run(doc, where="run"):
         _number(t["total_ms"], f"{where}: timer {name!r} total_ms")
         _number(t["mean_us"], f"{where}: timer {name!r} mean_us")
     # Structural invariants of the DP pruning counters, checked whenever a
-    # registry carries them (optimize runs, batch aggregates, bench
-    # trajectories).  Predictive skips are tests the (cost, cap) sort
+    # registry carries them (optimize runs, batch aggregates, closure and
+    # service registries).  Predictive skips are tests the (cost, cap) sort
     # decided without running — each has a mirror test that did run, so
     # skips can never exceed comparisons; early-join prunes drop a subset
     # of the visited cross-product pairs.
@@ -143,19 +142,6 @@ def _check_optimize_run(doc, where):
                 if name.startswith("pwl.") and name.endswith(".segments")]
     if not segments:
         raise SchemaError(f"{where}: no pwl.*.segments histograms")
-
-
-def _check_bench(doc, where):
-    """msn-bench-stats-v1: bench name plus a list of run registries.
-    Returns the run count so merged-doc callers can total it."""
-    if not isinstance(doc.get("bench"), str) or not doc["bench"]:
-        raise SchemaError(f"{where}: bench trajectory missing 'bench'")
-    runs = doc.get("runs")
-    if not isinstance(runs, list):
-        raise SchemaError(f"{where}: bench trajectory missing 'runs' list")
-    for i, run in enumerate(runs):
-        _check_run(run, f"{where} runs[{i}]")
-    return len(runs)
 
 
 def _check_batch(doc, path):
@@ -441,23 +427,6 @@ def check_file(path, strict_optimize=False):
         return _check_service(doc, path)
     if isinstance(doc, dict) and doc.get("schema") == STA_SCHEMA:
         return _check_sta(doc, path)
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_SCHEMA:
-        n = _check_bench(doc, path)
-        return f"{path}: ok ({BENCH_SCHEMA}, {n} runs)"
-    if isinstance(doc, dict) and doc.get("schema") == MERGED_BENCH_SCHEMA:
-        benches = doc.get("benches")
-        if not isinstance(benches, list) or not benches:
-            raise SchemaError(f"{path}: merged doc missing 'benches' list")
-        total = 0
-        for i, bench in enumerate(benches):
-            if not isinstance(bench, dict) \
-                    or bench.get("schema") != BENCH_SCHEMA:
-                raise SchemaError(f"{path} benches[{i}]: schema is"
-                                  f" {bench.get('schema')!r},"
-                                  f" wanted {BENCH_SCHEMA!r}")
-            total += _check_bench(bench, f"{path} benches[{i}]")
-        return (f"{path}: ok ({MERGED_BENCH_SCHEMA},"
-                f" {len(benches)} benches, {total} runs)")
     if strict_optimize:
         _check_optimize_run(doc, path)
     else:

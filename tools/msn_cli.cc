@@ -85,9 +85,10 @@ struct CliError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Malformed invocations (unknown flag, missing value): reported as a
-/// one-line `error: ...` followed by the usage text, exit code 2 — so
-/// scripts can tell "you called me wrong" (2) from "the run failed" (1).
+/// Malformed invocations (unknown flag, missing value or required
+/// argument): reported as a one-line `error: ...` followed by the usage
+/// text, exit code 2 — so scripts can tell "you called me wrong" (2) from
+/// "the run failed" (1).
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -203,8 +204,9 @@ int CmdGen(int argc, char** argv) {
   const auto flags =
       ParseFlags(argc, argv, 2, &pos,
                  {"--terminals", "--seed", "--grid", "--spacing", "-o"});
-  MSN_CHECK_MSG(flags.count("--terminals") && flags.count("-o"),
-                "gen requires --terminals and -o");
+  if (!flags.count("--terminals") || !flags.count("-o")) {
+    throw UsageError("gen requires --terminals and -o");
+  }
   NetConfig cfg;
   cfg.num_terminals =
       static_cast<std::size_t>(NumericFlag(flags, "--terminals"));
@@ -230,7 +232,7 @@ int CmdGen(int argc, char** argv) {
 int CmdArd(int argc, char** argv) {
   std::vector<std::string> pos;
   ParseFlags(argc, argv, 2, &pos, {});
-  MSN_CHECK_MSG(!pos.empty(), "ard requires a net file");
+  if (pos.empty()) throw UsageError("ard requires a net file");
   const RcTree tree = LoadNet(pos[0]);
   const Technology tech = DefaultTechnology();
   DescribeNet(std::cout, tree);
@@ -277,7 +279,7 @@ int CmdOptimize(int argc, char** argv) {
   std::vector<std::string> pos;
   const auto flags = ParseFlags(argc, argv, 2, &pos,
                                 {"--spec", "--mode", "--stats", "-o"});
-  MSN_CHECK_MSG(!pos.empty(), "optimize requires a net file");
+  if (pos.empty()) throw UsageError("optimize requires a net file");
   const RcTree tree = LoadNet(pos[0]);
   const Technology tech = DefaultTechnology();
 
@@ -363,8 +365,9 @@ int CmdOptimizeBatch(int argc, char** argv) {
   const auto flags =
       ParseFlags(argc, argv, 2, &pos,
                  {"--jobs", "--spec", "--mode", "--stats"});
-  MSN_CHECK_MSG(!pos.empty(),
-                "optimize-batch requires a directory or manifest");
+  if (pos.empty()) {
+    throw UsageError("optimize-batch requires a directory or manifest");
+  }
   const Technology tech = DefaultTechnology();
 
   std::string mode;
@@ -413,7 +416,7 @@ int CmdOptimizeBatch(int argc, char** argv) {
 int CmdRender(int argc, char** argv) {
   std::vector<std::string> pos;
   ParseFlags(argc, argv, 2, &pos, {});
-  MSN_CHECK_MSG(!pos.empty(), "render requires a net file");
+  if (pos.empty()) throw UsageError("render requires a net file");
   const RcTree tree = LoadNet(pos[0]);
   RepeaterAssignment repeaters(tree.NumNodes());
   if (pos.size() > 1) {
@@ -433,8 +436,9 @@ int CmdGenDesign(int argc, char** argv) {
   if (!pos.empty()) {
     throw UsageError("gen-design takes no positional arguments");
   }
-  MSN_CHECK_MSG(flags.count("--nets") && flags.count("-o"),
-                "gen-design requires --nets and -o");
+  if (!flags.count("--nets") || !flags.count("-o")) {
+    throw UsageError("gen-design requires --nets and -o");
+  }
   DesignConfig cfg;
   const double nets = NumericFlag(flags, "--nets");
   if (nets < 1) throw CliError("--nets must be at least 1");
@@ -487,7 +491,9 @@ int CmdCloseTiming(int argc, char** argv) {
       ParseFlags(argc, argv, 2, &pos,
                  {"--jobs", "--max-iters", "--nets-per-iter",
                   "--cache-dir", "--stats"});
-  MSN_CHECK_MSG(pos.size() == 1, "close-timing requires a .msd design");
+  if (pos.size() != 1) {
+    throw UsageError("close-timing requires one .msd design");
+  }
 
   sta::ClosureOptions opt;
   if (flags.count("--jobs")) {
