@@ -17,14 +17,27 @@
 //
 // Both pruning modes run over index ranges of the one (cost, cap)-sorted
 // array: a pruned slot is marked dead in place and the dead slots are
-// dropped once, at the end.  The scalars of every slot are packed into a
-// key column when the call starts; the pair loops test those keys first
-// and touch a solution only when all scalars pass.  Only then is the
-// region computed: linear interval merges into buffers that the call owns
-// and reuses, so in steady state no dominance test allocates.  A test
-// stops early when the two valid regions are disjoint or when the arrival
-// region is empty, and a victim's `valid` is rewritten, in its own
-// storage, only when it actually shrinks.
+// dropped once, at the end.  They test the same pairs, in the same order
+// and with the same outcome, as the plain loops of Fig. 4, but most tests
+// cost a few instructions:
+//   * Scan columns.  When the call starts, cap and sink_delay, the two
+//     scalars that fail most pairs, are copied into two dense columns.
+//     A row in which the dominator cannot die (every all-pairs row, and
+//     each cross-prune row past its cost-eps band, where the backward
+//     test is decided by the sort) tests four slots at a time on those
+//     columns without a branch, and counts its tests from running live
+//     totals instead of visiting each one.
+//   * Bound rejects.  Each slot also keeps its other scalars, its valid
+//     hull [lo, hi) and the range of its diam over that hull.  A pair
+//     that passes the columns is rejected before either solution is
+//     touched when the hulls are disjoint or when the dominator's diam
+//     exceeds the victim's everywhere both are valid.  Valid regions only
+//     shrink during a call, so bounds taken at its start stay sound.
+// Only the remaining pairs compute a region: linear interval merges into
+// buffers that the call owns and reuses, so in steady state no dominance
+// test allocates.  A test stops early when the two valid regions are
+// disjoint or when the arrival region is empty, and a victim's `valid`
+// is rewritten, in its own storage, only when it actually shrinks.
 #ifndef MSN_CORE_MFS_H
 #define MSN_CORE_MFS_H
 

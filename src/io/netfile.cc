@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -38,6 +39,74 @@ NodeKind ParseKind(const std::string& token, std::size_t line) {
   FailAt(line, "unknown node kind '" + token + "'");
 }
 
+struct NodeRecord {
+  NodeKind kind;
+  Point pos;
+  std::size_t line = 0;  ///< Of the `node` record.
+};
+
+struct EdgeRecord {
+  NodeId a, b;
+  double length;
+  std::size_t line = 0;  ///< Of the `edge` record.
+};
+
+/// The structure RcTree::Validate requires, checked record by record so
+/// that each violation names the line that causes it: every edge joins
+/// two distinct nodes by a non-negative length without closing a cycle,
+/// terminals are leaves, insertion points have degree 2, and the edges
+/// connect all nodes (a whole-file error, since no one record is at
+/// fault).  Node ids are known to be dense.
+void CheckEdges(const std::map<NodeId, NodeRecord>& nodes,
+                const std::vector<EdgeRecord>& edges) {
+  const std::size_t n = nodes.size();
+  std::vector<NodeId> root(n);
+  std::iota(root.begin(), root.end(), NodeId{0});
+  const auto find = [&root](NodeId x) {
+    while (root[x] != x) {
+      root[x] = root[root[x]];
+      x = root[x];
+    }
+    return x;
+  };
+  std::vector<std::size_t> degree(n, 0);
+  for (const EdgeRecord& e : edges) {
+    for (const NodeId end : {e.a, e.b}) {
+      if (end >= n) {
+        FailAt(e.line, "edge endpoint " + std::to_string(end) +
+                           " is not a node");
+      }
+    }
+    if (e.a == e.b) {
+      FailAt(e.line, "edge joins node " + std::to_string(e.a) + " to itself");
+    }
+    if (!(e.length >= 0.0)) FailAt(e.line, "negative wire length");
+    const NodeId ra = find(e.a);
+    const NodeId rb = find(e.b);
+    if (ra == rb) FailAt(e.line, "edge closes a cycle");
+    root[ra] = rb;
+    ++degree[e.a];
+    ++degree[e.b];
+  }
+  for (const auto& [id, rec] : nodes) {
+    if (rec.kind == NodeKind::kTerminal && degree[id] > 1) {
+      FailAt(rec.line, "terminal node " + std::to_string(id) +
+                           " has degree " + std::to_string(degree[id]) +
+                           "; a terminal must be a leaf");
+    }
+    if (rec.kind == NodeKind::kInsertion && degree[id] != 2) {
+      FailAt(rec.line, "insertion point " + std::to_string(id) +
+                           " has degree " + std::to_string(degree[id]) +
+                           "; it must have degree 2");
+    }
+  }
+  if (edges.size() + 1 != n) {
+    FailAt(0, "a net of " + std::to_string(n) + " nodes needs " +
+                  std::to_string(n - 1) + " edges, found " +
+                  std::to_string(edges.size()));
+  }
+}
+
 }  // namespace
 
 void WriteNet(std::ostream& os, const RcTree& tree) {
@@ -69,15 +138,6 @@ void WriteNet(std::ostream& os, const RcTree& tree) {
 }
 
 RcTree ReadNet(std::istream& is) {
-  struct NodeRecord {
-    NodeKind kind;
-    Point pos;
-  };
-  struct EdgeRecord {
-    NodeId a, b;
-    double length;
-  };
-
   std::optional<WireParams> wire;
   std::map<NodeId, NodeRecord> nodes;
   std::map<NodeId, TerminalParams> terminals;
@@ -118,6 +178,7 @@ RcTree ReadNet(std::istream& is) {
         FailAt(line_no, "malformed node record");
       }
       rec.kind = ParseKind(kind, line_no);
+      rec.line = line_no;
       if (!nodes.emplace(id, rec).second) {
         FailAt(line_no, "duplicate node " + std::to_string(id));
       }
@@ -142,6 +203,7 @@ RcTree ReadNet(std::istream& is) {
       if (!(ls >> e.a >> e.b >> e.length)) {
         FailAt(line_no, "malformed edge record");
       }
+      e.line = line_no;
       edges.push_back(e);
     } else if (tag == "end") {
       saw_end = true;
@@ -162,6 +224,8 @@ RcTree ReadNet(std::istream& is) {
     }
     ++expected;
   }
+
+  CheckEdges(nodes, edges);
 
   RcTree tree(*wire);
   for (const auto& [id, rec] : nodes) {

@@ -54,8 +54,11 @@ class ParseError : public CheckError {
 void WriteNet(std::ostream& os, const RcTree& tree);
 
 /// Parses a .msn stream.  Throws msn::ParseError with the offending line
-/// number on malformed input; the returned tree is validated (structural
-/// violations surface as CheckError from RcTree::Validate).
+/// number on malformed input, structural violations included: an edge
+/// with a bad endpoint, a self-loop, a negative length or a cycle fails at
+/// its `edge` line, a non-leaf terminal or an insertion point of degree
+/// other than 2 at its `node` line, and an edge count other than
+/// |V| - 1 as a whole-file error (line 0).
 RcTree ReadNet(std::istream& is);
 
 /// Writes `point`'s assignments (after a WriteNet header) so a solution

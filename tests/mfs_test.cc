@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -232,19 +233,23 @@ SolutionSet RandomSet(Rng& rng, int n) {
   return set;
 }
 
-/// A line with a random intercept and slope.
-Pwl RandomLine(Rng& rng, double max_intercept) {
+/// A line with a random intercept and a slope in [min_slope, 30).
+Pwl RandomLine(Rng& rng, double max_intercept, double min_slope = 0.0) {
   return Pwl::Line(rng.UniformReal(0.0, max_intercept),
-                   rng.UniformReal(0.0, 30.0));
+                   rng.UniformReal(min_slope, 30.0));
 }
 
 /// Bottom with probability `bottom_p`, else the maximum of 2-3 random
-/// lines (a convex PWL of up to three segments).
-Pwl RandomMultiSegment(Rng& rng, double max_intercept, double bottom_p) {
+/// lines (a convex PWL of up to three segments).  A negative `min_slope`
+/// makes some of them fall before they rise (non-monotone).
+Pwl RandomMultiSegment(Rng& rng, double max_intercept, double bottom_p,
+                       double min_slope = 0.0) {
   if (rng.Chance(bottom_p)) return Pwl::NegInf();
-  Pwl f = Pwl::Max(RandomLine(rng, max_intercept),
-                   RandomLine(rng, max_intercept));
-  if (rng.Chance(0.5)) f = Pwl::Max(f, RandomLine(rng, max_intercept));
+  Pwl f = Pwl::Max(RandomLine(rng, max_intercept, min_slope),
+                   RandomLine(rng, max_intercept, min_slope));
+  if (rng.Chance(0.5)) {
+    f = Pwl::Max(f, RandomLine(rng, max_intercept, min_slope));
+  }
   return f;
 }
 
@@ -260,17 +265,28 @@ IntervalSet RandomValid(Rng& rng) {
   return valid;
 }
 
+/// What a generated set looks like beyond its size.
+struct SetShape {
+  /// Costs are drawn from this many multiples of 1/4; few levels give
+  /// long runs of equal cost, where Fig. 4 tests in both directions.
+  double cost_levels = 16.0;
+  /// Lower end of the line slopes; below 0 gives non-monotone PWLs.
+  double min_slope = 0.0;
+};
+
 /// Solutions with multi-segment or bottom PWLs, mixed parity, valid
 /// regions with holes, and costs/caps on a coarse grid so that ties and
 /// the eps band occur.  `detail` numbers the solutions in input order.
-SolutionSet RichRandomSet(Rng& rng, int n) {
+SolutionSet RichRandomSet(Rng& rng, int n, SetShape shape = {}) {
   SolutionSet set;
   for (int i = 0; i < n; ++i) {
-    const double cost = std::floor(rng.UniformReal(0.0, 16.0)) / 4.0;
+    const double cost =
+        std::floor(rng.UniformReal(0.0, shape.cost_levels)) / 4.0;
     const double cap = std::floor(rng.UniformReal(0.0, 8.0)) / 4.0;
-    SolutionPtr s = Make(cost, cap, rng.UniformReal(0.0, 100.0),
-                         RandomMultiSegment(rng, 200.0, 0.15),
-                         RandomMultiSegment(rng, 300.0, 0.25));
+    SolutionPtr s =
+        Make(cost, cap, rng.UniformReal(0.0, 100.0),
+             RandomMultiSegment(rng, 200.0, 0.15, shape.min_slope),
+             RandomMultiSegment(rng, 300.0, 0.25, shape.min_slope));
     s->parity = rng.Chance(0.3) ? 1 : 0;
     if (rng.Chance(0.2)) s->stage_span_um = rng.UniformReal(0.0, 100.0);
     s->valid = RandomValid(rng);
@@ -392,11 +408,73 @@ bool ReferencePrune(const MsriSolution& d, MsriSolution& v,
   return false;
 }
 
-/// The all-pairs mode as a plain loop over a (cost, cap)-sorted copy:
-/// dead entries become nullptr, every counter is counted where the test
-/// runs or is skipped.
-SolutionSet ReferenceQuadratic(SolutionSet set, const MfsOptions& o,
-                               MfsStats& stats) {
+/// Both pruning modes as plain loops over a (cost, cap)-sorted array, in
+/// the visit order of Fig. 4: dead entries become nullptr, and every
+/// counter is counted where its test runs or is skipped.
+class ReferenceSweep {
+ public:
+  ReferenceSweep(SolutionSet& set, const MfsOptions& o, MfsStats& stats)
+      : set_(set), o_(o), stats_(stats) {
+    for (const SolutionPtr& s : set) cost_.push_back(s->cost);
+  }
+
+  /// All pairs of [b, e): row i skips, uncounted as tests, the live
+  /// victims that undercut it by more than the cost slack.
+  void Pairwise(std::size_t b, std::size_t e) {
+    std::size_t lo = b;
+    for (std::size_t i = b; i < e; ++i) {
+      while (lo < e && cost_[lo] < cost_[i] - o_.CostEps()) ++lo;
+      if (!set_[i]) continue;
+      for (std::size_t j = b; j < lo; ++j) {
+        if (set_[j]) ++stats_.predictive_skipped;
+      }
+      for (std::size_t j = lo; j < e; ++j) {
+        if (i != j && set_[j]) Test(i, j);
+      }
+    }
+  }
+
+  /// Split at mid, recurse left, recurse right, then cross-prune: each
+  /// live left l tests each live right r forward, then backward unless r
+  /// out-costs l beyond the slack (a predictive skip).
+  void Recurse(std::size_t b, std::size_t e) {
+    if (e - b <= o_.base_case) {
+      Pairwise(b, e);
+      return;
+    }
+    const std::size_t mid = b + (e - b) / 2;
+    Recurse(b, mid);
+    Recurse(mid, e);
+    for (std::size_t l = b; l < mid; ++l) {
+      for (std::size_t r = mid; set_[l] && r < e; ++r) {
+        if (!set_[r] || Test(l, r)) continue;
+        if (cost_[r] > cost_[l] + o_.CostEps()) {
+          ++stats_.predictive_skipped;
+        } else {
+          Test(r, l);
+        }
+      }
+    }
+  }
+
+ private:
+  /// Runs and counts one test; true when victim v died.
+  bool Test(std::size_t d, std::size_t v) {
+    ++stats_.comparisons;
+    if (!ReferencePrune(*set_[d], *set_[v], o_, stats_)) return false;
+    ++stats_.pruned;
+    set_[v] = nullptr;
+    return true;
+  }
+
+  SolutionSet& set_;
+  const MfsOptions& o_;
+  MfsStats& stats_;
+  std::vector<double> cost_;
+};
+
+SolutionSet ReferenceMfs(SolutionSet set, const MfsOptions& o,
+                         MfsStats& stats) {
   ++stats.calls;
   stats.candidates_in += set.size();
   std::erase_if(set,
@@ -407,24 +485,11 @@ SolutionSet ReferenceQuadratic(SolutionSet set, const MfsOptions& o,
   };
   std::sort(set.begin(), set.end(), by_cost_cap);
   if (set.size() >= 2) {
-    const std::size_t n = set.size();
-    std::vector<double> cost(n);
-    for (std::size_t i = 0; i < n; ++i) cost[i] = set[i]->cost;
-    std::size_t lo = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      while (lo < n && cost[lo] < cost[i] - o.CostEps()) ++lo;
-      if (!set[i]) continue;
-      for (std::size_t j = 0; j < lo; ++j) {
-        if (set[j]) ++stats.predictive_skipped;
-      }
-      for (std::size_t j = lo; j < n; ++j) {
-        if (i == j || !set[j]) continue;
-        ++stats.comparisons;
-        if (ReferencePrune(*set[i], *set[j], o, stats)) {
-          ++stats.pruned;
-          set[j] = nullptr;
-        }
-      }
+    ReferenceSweep sweep(set, o, stats);
+    if (o.mode == MfsOptions::Mode::kQuadratic) {
+      sweep.Pairwise(0, set.size());
+    } else {
+      sweep.Recurse(0, set.size());
     }
     std::erase_if(set, [](const SolutionPtr& s) { return s == nullptr; });
     std::sort(set.begin(), set.end(), by_cost_cap);
@@ -433,22 +498,18 @@ SolutionSet ReferenceQuadratic(SolutionSet set, const MfsOptions& o,
   return set;
 }
 
-class MfsReference : public ::testing::TestWithParam<std::uint64_t> {};
-
-/// The quadratic mode matches the reference bit for bit: the same
+/// ComputeMfs matches the reference bit for bit on `set`: the same
 /// survivors in the same order, the same valid endpoints, the same
-/// counters.
-TEST_P(MfsReference, QuadraticMatchesIntervalSetReference) {
-  Rng rng(GetParam() + 2000);
-  const SolutionSet set = RichRandomSet(rng, 64);
+/// counters.  Returns the reference's counters.
+MfsStats ExpectMatchesReference(const SolutionSet& set,
+                                const MfsOptions& o) {
   MfsStats got_stats;
   MfsStats want_stats;
-  const SolutionSet got = ComputeMfs(DeepCopy(set), Quadratic(), &got_stats);
-  const SolutionSet want =
-      ReferenceQuadratic(DeepCopy(set), Quadratic(), want_stats);
+  const SolutionSet got = ComputeMfs(DeepCopy(set), o, &got_stats);
+  const SolutionSet want = ReferenceMfs(DeepCopy(set), o, want_stats);
 
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t k = 0; k < got.size(); ++k) {
+  EXPECT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < std::min(got.size(), want.size()); ++k) {
     EXPECT_EQ(got[k]->detail, want[k]->detail) << "survivor " << k;
     EXPECT_EQ(got[k]->valid, want[k]->valid) << "survivor " << k;
   }
@@ -459,13 +520,114 @@ TEST_P(MfsReference, QuadraticMatchesIntervalSetReference) {
   EXPECT_EQ(got_stats.predictive_skipped, want_stats.predictive_skipped);
   EXPECT_EQ(got_stats.pruned, want_stats.pruned);
   EXPECT_EQ(got_stats.pruned_partial, want_stats.pruned_partial);
+  return want_stats;
+}
+
+class MfsReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MfsReference, QuadraticMatchesIntervalSetReference) {
+  Rng rng(GetParam() + 2000);
+  const MfsStats want =
+      ExpectMatchesReference(RichRandomSet(rng, 64), Quadratic());
   // The generator reaches every outcome the kernel distinguishes.
-  EXPECT_GT(want_stats.pruned, 0u);
-  EXPECT_GT(want_stats.pruned_partial, 0u);
+  EXPECT_GT(want.pruned, 0u);
+  EXPECT_GT(want.pruned_partial, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MfsReference,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+/// One divide-and-conquer reference case: a generated set's shape, its
+/// size, and the recursion's base case.
+struct DcCase {
+  const char* shape_name;
+  SetShape shape;
+  int size;
+  std::size_t base_case;
+};
+
+class MfsDcReference : public ::testing::TestWithParam<DcCase> {};
+
+/// Divide-and-conquer, the mode every DP run uses, matches the reference
+/// bit for bit.  The sizes put odd lengths on both sides of a split and
+/// land on and next to the base case.
+TEST_P(MfsDcReference, MatchesIntervalSetReference) {
+  const DcCase& c = GetParam();
+  MfsOptions dc;
+  dc.mode = MfsOptions::Mode::kDivideConquer;
+  dc.base_case = c.base_case;
+  for (std::uint64_t seed = 1; seed <= (c.size < 64 ? 8u : 1u); ++seed) {
+    Rng rng(seed * 7919 + static_cast<std::uint64_t>(c.size));
+    const MfsStats want =
+        ExpectMatchesReference(RichRandomSet(rng, c.size, c.shape), dc);
+    if (c.size >= 64) {
+      EXPECT_GT(want.pruned, 0u);
+      EXPECT_GT(want.pruned_partial, 0u);
+      EXPECT_GT(want.predictive_skipped, 0u);
+    }
+  }
+}
+
+std::vector<DcCase> DcCases() {
+  const std::pair<const char*, SetShape> shapes[] = {
+      {"rich", SetShape{}},
+      {"cost_ties", SetShape{.cost_levels = 2.0, .min_slope = 0.0}},
+      {"non_monotone", SetShape{.cost_levels = 16.0, .min_slope = -30.0}},
+  };
+  std::vector<DcCase> cases;
+  for (const auto& [name, shape] : shapes) {
+    for (const int size : {1, 2, 3, 8, 9, 17, 64, 511, 2048}) {
+      cases.push_back({name, shape, size, 8});
+    }
+    cases.push_back({name, shape, 17, 1});
+    cases.push_back({name, shape, 64, 3});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, MfsDcReference, ::testing::ValuesIn(DcCases()),
+    [](const ::testing::TestParamInfo<DcCase>& param_info) {
+      const DcCase& c = param_info.param;
+      return std::string(c.shape_name) + "_" + std::to_string(c.size) +
+             "_base" + std::to_string(c.base_case);
+    });
+
+/// A victim partly pruned early in a call is tested again later in the
+/// same call, against a dominator whose valid region misses the
+/// victim's new region but overlaps the region it held when the call
+/// started.
+TEST(MfsReference, RetestAfterPartialPruneMatchesReference) {
+  const auto build = [] {
+    SolutionSet set;
+    // No other solution prunes 0, 1 or 2: 0 has the worse sink delay,
+    // 1 the lower cap, 2 the higher cost and cap.
+    set.push_back(Make(1.0, 1.0, 1.0, Pwl::Constant(0.0), Pwl::NegInf()));
+    set[0]->valid = IntervalSet(0.0, 5.0);
+    set.push_back(Make(1.5, 1.0, 0.0, Pwl::Constant(0.0), Pwl::NegInf()));
+    set[1]->valid = IntervalSet(0.0, 4.0);
+    set.push_back(Make(1.5, 1.5, 0.0, Pwl::Constant(0.0), Pwl::NegInf()));
+    set[2]->valid = IntervalSet(4.5, kInf).Subtract(IntervalSet(8.0, 9.0));
+    // The victim: 0 and 2 together cut its [0, inf) down to [8, 9).  1
+    // is tested after 0's cut, on a region the victim no longer holds.
+    set.push_back(Make(2.0, 2.0, 2.0, Pwl::Line(0.0, 1.0), Pwl::NegInf()));
+    for (std::size_t i = 0; i < set.size(); ++i) set[i]->detail = i;
+    return set;
+  };
+  for (const MfsOptions::Mode mode :
+       {MfsOptions::Mode::kQuadratic, MfsOptions::Mode::kDivideConquer}) {
+    MfsOptions o;
+    o.mode = mode;
+    o.base_case = 1;
+    const MfsStats want = ExpectMatchesReference(build(), o);
+    EXPECT_EQ(want.pruned, 0u);
+    EXPECT_EQ(want.pruned_partial, 2u);
+    SolutionSet set = build();
+    const SolutionSet out = ComputeMfs(set, o);
+    ASSERT_EQ(out.size(), 4u);
+    EXPECT_EQ(out[3]->valid, IntervalSet(8.0, 9.0));
+  }
+}
 
 /// Divide-and-conquer agrees with quadratic pruning on the surviving
 /// frontier (same minimal cover, possibly different tie-breaks — we check

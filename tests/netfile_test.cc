@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
 #include "core/ard.h"
@@ -144,6 +145,88 @@ TEST(NetFile, MalformedInputsRejectedWithLineNumbers) {
   expect_throw(
       "msn-net 1\nwire 0.04 0.0001\nnode 0 terminal 0 0\nend\n",
       "terminal without record");
+}
+
+/// A five-node net, one record per line: terminals 0, 1 and 4 around
+/// Steiner node 2, with insertion point 3 between 0 and 2.  `edges`
+/// replaces its four edge records (lines 11-14).
+std::string StarNet(const std::string& edges) {
+  return "msn-net 1\n"                                      // 1
+         "wire 0.04 0.000118\n"                             // 2
+         "node 0 terminal 0 0\n"                            // 3
+         "node 1 terminal 1000 0\n"                         // 4
+         "node 2 steiner 500 0\n"                           // 5
+         "node 3 insertion 250 0\n"                         // 6
+         "node 4 terminal 500 500\n"                        // 7
+         "terminal 0 0 0 1 1 0.05 180 36.4 20 72.4 2\n"     // 8
+         "terminal 1 0 0 1 1 0.05 180 36.4 20 72.4 2\n"     // 9
+         "terminal 4 0 0 1 1 0.05 180 36.4 20 72.4 2\n" +   // 10
+         edges + "end\n";
+}
+
+const char* const kStarEdges =
+    "edge 0 3 250\nedge 3 2 250\nedge 2 1 500\nedge 2 4 500\n";
+
+/// ReadNet rejects `text` with a ParseError at `line` whose message
+/// contains `what`.
+void ExpectParseErrorAt(const std::string& text, std::size_t line,
+                        const std::string& what) {
+  std::stringstream ss(text);
+  try {
+    ReadNet(ss);
+    ADD_FAILURE() << "accepted; expected: " << what;
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.Line(), line) << e.what();
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NetFile, StarNetIsValid) {
+  std::stringstream ss(StarNet(kStarEdges));
+  const RcTree tree = ReadNet(ss);
+  EXPECT_EQ(tree.NumEdges(), 4u);
+  EXPECT_EQ(tree.InsertionPoints().size(), 1u);
+}
+
+TEST(NetFile, EdgeToMissingNodeNamesItsLine) {
+  ExpectParseErrorAt(StarNet("edge 0 3 250\nedge 3 2 250\nedge 2 9 500\n"
+                             "edge 2 4 500\n"),
+                     13, "edge endpoint 9 is not a node");
+}
+
+TEST(NetFile, SelfLoopNamesItsLine) {
+  ExpectParseErrorAt(StarNet("edge 0 3 250\nedge 3 2 250\nedge 2 2 500\n"
+                             "edge 2 4 500\n"),
+                     13, "edge joins node 2 to itself");
+}
+
+TEST(NetFile, NegativeWireLengthNamesItsLine) {
+  ExpectParseErrorAt(StarNet("edge 0 3 250\nedge 3 2 250\nedge 2 1 -5\n"
+                             "edge 2 4 500\n"),
+                     13, "negative wire length");
+}
+
+TEST(NetFile, CycleNamesTheEdgeThatClosesIt) {
+  ExpectParseErrorAt(StarNet(std::string(kStarEdges) + "edge 0 2 10\n"), 15,
+                     "edge closes a cycle");
+}
+
+TEST(NetFile, NonLeafTerminalNamesItsNodeLine) {
+  ExpectParseErrorAt(StarNet("edge 0 3 250\nedge 3 2 250\nedge 2 1 500\n"
+                             "edge 1 4 500\n"),
+                     4, "terminal node 1 has degree 2");
+}
+
+TEST(NetFile, InsertionPointDegreeNamesItsNodeLine) {
+  ExpectParseErrorAt(StarNet("edge 0 2 250\nedge 3 2 250\nedge 2 1 500\n"
+                             "edge 2 4 500\n"),
+                     6, "insertion point 3 has degree 1");
+}
+
+TEST(NetFile, DisconnectedNetIsAWholeFileError) {
+  ExpectParseErrorAt(StarNet("edge 0 3 250\nedge 3 2 250\nedge 2 1 500\n"),
+                     0, "a net of 5 nodes needs 4 edges, found 3");
 }
 
 TEST(NetFile, SolutionRejectsBadTargets) {
